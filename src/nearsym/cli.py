@@ -239,10 +239,17 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _output_options(formats: list[str]) -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    output.add_argument("--format", choices=formats, default="text")
     output.add_argument("--accidentals", choices=["sharps", "flats"], default="sharps")
+    return output
+
+
+def build_parser() -> argparse.ArgumentParser:
+    output = _output_options(["text", "json"])
+    # export alone writes DOT; it rejects text itself, with its own message
+    graph_output = _output_options(["text", "json", "dot"])
 
     with_genus = argparse.ArgumentParser(add_help=False)
     with_genus.add_argument("--genus", type=int, choices=[3, 4, 6], required=True)
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=None)
     p.set_defaults(func=cmd_cycles)
 
-    p = sub.add_parser("export", parents=[with_genus, output], help="export a region graph")
+    p = sub.add_parser("export", parents=[with_genus, graph_output], help="export a region graph")
     p.add_argument("--kind", choices=["arthropod", "bridge"], required=True)
     p.add_argument("--containing", required=True)
     p.set_defaults(func=cmd_export)
@@ -299,9 +306,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ChordParseError, TokenParseError) as exc:
         return _usage_error(str(exc))
     except (UnsupportedCardinalityError, GenusMismatchError, NotAMemberError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -22,6 +22,7 @@ from .symmetry import symmetric_partition
 from .transform import (
     Kind,
     Transformation,
+    apply,
     bridge_members,
     catalog,
     transformation_between,
@@ -149,15 +150,19 @@ def region_of(c: Chord, kind: RegionKind) -> Region:
 
 
 def polar(c: Chord) -> Chord:
-    """The opposite-modality member of c's bridge region disjoint from c."""
-    r = region_of(c, RegionKind.BRIDGE)
-    pcs = c.pitch_classes()
-    hits = [
-        m for m in r.members if m.modality is not c.modality and not (m.pitch_classes() & pcs)
-    ]
-    if len(hits) != 1:
-        raise InvariantViolationError(f"{c} has {len(hits)} poles instead of one")
-    return hits[0]
+    """The opposite-modality member of c's bridge region disjoint from c,
+    reached by the genus's pole transformation (H, O, or Z)."""
+    pole = next(t for t in catalog(c.genus) if t.kind is Kind.POLAR)
+    return apply(pole, c)
+
+
+def adjacency(region: Region) -> dict[Chord, set[Chord]]:
+    """Each member's neighbours in the region graph."""
+    adj: dict[Chord, set[Chord]] = {m: set() for m in region.members}
+    for e in region.edges:
+        adj[e.a].add(e.b)
+        adj[e.b].add(e.a)
+    return adj
 
 
 @dataclass(frozen=True)
@@ -202,17 +207,14 @@ def enumerate_smooth_cycles(
     if not 4 <= min_len <= max_len <= size:
         raise ValueError(f"cycle length bounds must satisfy 4 <= min <= max <= {size}")
 
-    adjacency: dict[Chord, set[Chord]] = {m: set() for m in region.members}
-    for e in region.edges:
-        adjacency[e.a].add(e.b)
-        adjacency[e.b].add(e.a)
+    adj = adjacency(region)
     order = {m: i for i, m in enumerate(sorted(region.members, key=lambda c: c.sort_key))}
 
     found: set[tuple[Chord, ...]] = set()
 
     def extend(path: list[Chord], on_path: set[Chord]) -> None:
         start, last = path[0], path[-1]
-        for nxt in adjacency[last]:
+        for nxt in adj[last]:
             if nxt == start and min_len <= len(path) <= max_len:
                 found.add(_canonical_cycle(tuple(path)))
             elif nxt not in on_path and order[nxt] > order[start] and len(path) < max_len:

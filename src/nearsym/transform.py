@@ -18,6 +18,15 @@ hexachords (whole-tone tetramirror [0,2,4,6], augmented seventh [0,2,4,8],
 French sixth [0,2,6,8]).  ``None`` marks the lone leftover note in triad
 slides.  The slide direction is never a parameter: exactly one of up or down
 produces a chord of the genus, which the catalog checks demand.
+
+Each of these moves is defined relative to the symmetric partition, so it
+commutes with transposition: the image of a chord is the chord of opposite
+modality whose root lies a fixed offset away, up from a (+) chord and down
+from a (-) chord.  The catalog is therefore stored as data, 26
+transposition-equivariant root offsets, and ``apply`` is arithmetic.
+``verify`` re-derives every offset from the definitions above: the
+partition-and-shift search for slides, the whole-tone relation for
+relatives, and pitch-class disjointness for poles.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import combinations
 
 from .chord import (
     Chord,
@@ -34,12 +42,9 @@ from .chord import (
     Genus,
     Modality,
     arthropod_collection,
-    find_chord,
     parent_symmetric_cell,
 )
 from .errors import GenusMismatchError, InvariantViolationError, TokenParseError
-from .pcset import prime_form
-from .voiceleading import VoiceLeading, vl_relation
 
 SlidePart = int | str | None
 
@@ -64,6 +69,7 @@ class Transformation:
     kind: Kind
     invariant: SlidePart = None
     moved: SlidePart = None
+    offset: int = 0  # image root minus source root, for a (+) source
 
     def __str__(self) -> str:
         return self.token
@@ -80,38 +86,39 @@ _FULL_FORM_ALIASES = {
     "S1(W)": "S1",
 }
 
-_ROWS: dict[int, tuple[tuple[str, Kind, SlidePart, SlidePart], ...]] = {
+# token, kind, held part, moved part, (+) root offset
+_ROWS: dict[int, tuple[tuple[str, Kind, SlidePart, SlidePart, int], ...]] = {
     3: (
-        ("R", Kind.RELATIVE, None, None),
-        ("S", Kind.ARTHROPOD_SLIDE, None, 5),
-        ("N", Kind.ARTHROPOD_SLIDE, None, 3),
-        ("P", Kind.BRIDGE_SLIDE, 5, None),
-        ("L", Kind.BRIDGE_SLIDE, 3, None),
-        ("H", Kind.POLAR, None, None),
+        ("R", Kind.RELATIVE, None, None, 9),
+        ("S", Kind.ARTHROPOD_SLIDE, None, 5, 1),
+        ("N", Kind.ARTHROPOD_SLIDE, None, 3, 5),
+        ("P", Kind.BRIDGE_SLIDE, 5, None, 0),
+        ("L", Kind.BRIDGE_SLIDE, 3, None, 4),
+        ("H", Kind.POLAR, None, None, 8),
     ),
     4: (
-        ("R*", Kind.RELATIVE, None, None),
-        ("S3(4)", Kind.ARTHROPOD_SLIDE, 3, 4),
-        ("S3(2)", Kind.ARTHROPOD_SLIDE, 3, 2),
-        ("S6", Kind.ARTHROPOD_SLIDE, 6, 5),
-        ("S2", Kind.BRIDGE_SLIDE, 2, 3),
-        ("S4", Kind.BRIDGE_SLIDE, 4, 3),
-        ("S5", Kind.BRIDGE_SLIDE, 5, 6),
-        ("O", Kind.POLAR, None, None),
+        ("R*", Kind.RELATIVE, None, None, 4),
+        ("S3(4)", Kind.ARTHROPOD_SLIDE, 3, 4, 7),
+        ("S3(2)", Kind.ARTHROPOD_SLIDE, 3, 2, 1),
+        ("S6", Kind.ARTHROPOD_SLIDE, 6, 5, 10),
+        ("S2", Kind.BRIDGE_SLIDE, 2, 3, 0),
+        ("S4", Kind.BRIDGE_SLIDE, 4, 3, 6),
+        ("S5", Kind.BRIDGE_SLIDE, 5, 6, 9),
+        ("O", Kind.POLAR, None, None, 3),
     ),
     6: (
-        ("R**", Kind.RELATIVE, None, None),
-        ("SA(3)", Kind.ARTHROPOD_SLIDE, "A", 3),
-        ("SA(5)", Kind.ARTHROPOD_SLIDE, "A", 5),
-        ("SF", Kind.ARTHROPOD_SLIDE, "F", 5),
-        ("SW(1)", Kind.ARTHROPOD_SLIDE, "W", 1),
-        ("SW(3)", Kind.ARTHROPOD_SLIDE, "W", 3),
-        ("S1", Kind.BRIDGE_SLIDE, 1, "W"),
-        ("S3(A)", Kind.BRIDGE_SLIDE, 3, "A"),
-        ("S3(W)", Kind.BRIDGE_SLIDE, 3, "W"),
-        ("S5(A)", Kind.BRIDGE_SLIDE, 5, "A"),
-        ("S5(F)", Kind.BRIDGE_SLIDE, 5, "F"),
-        ("Z", Kind.POLAR, None, None),
+        ("R**", Kind.RELATIVE, None, None, 3),
+        ("SA(3)", Kind.ARTHROPOD_SLIDE, "A", 3, 11),
+        ("SA(5)", Kind.ARTHROPOD_SLIDE, "A", 5, 7),
+        ("SF", Kind.ARTHROPOD_SLIDE, "F", 5, 9),
+        ("SW(1)", Kind.ARTHROPOD_SLIDE, "W", 1, 1),
+        ("SW(3)", Kind.ARTHROPOD_SLIDE, "W", 3, 5),
+        ("S1", Kind.BRIDGE_SLIDE, 1, "W", 0),
+        ("S3(A)", Kind.BRIDGE_SLIDE, 3, "A", 10),
+        ("S3(W)", Kind.BRIDGE_SLIDE, 3, "W", 4),
+        ("S5(A)", Kind.BRIDGE_SLIDE, 5, "A", 6),
+        ("S5(F)", Kind.BRIDGE_SLIDE, 5, "F", 8),
+        ("Z", Kind.POLAR, None, None, 2),
     ),
 }
 
@@ -160,82 +167,16 @@ def bridge_members(c: Chord) -> tuple[Chord, ...]:
     )
 
 
-def same_arthropod(a: Chord, b: Chord) -> bool:
-    return parent_symmetric_cell(a).cell == parent_symmetric_cell(b).cell
-
-
-def same_bridge(a: Chord, b: Chord) -> bool:
-    return (a.root - b.root) % (12 // a.genus.n) == 0
-
-
-def _part_prime(part: SlidePart) -> tuple[int, ...] | None:
-    if part is None:
-        return None
-    if isinstance(part, str):
-        return TETRAD_CLASSES[part]
-    return (0, part)
-
-
-def _part_size(part: SlidePart) -> int:
-    if part is None:
-        return 1
-    if isinstance(part, str):
-        return 4
-    return 2
-
-
-def _slide_images(t: Transformation, c: Chord) -> list[Chord]:
-    """All chords reachable by t's partition-and-shift reading of c."""
-    pcs = c.pitch_classes()
-    moved_size = _part_size(t.moved)
-    held_prime = _part_prime(t.invariant)
-    moved_prime = _part_prime(t.moved)
-    in_region = same_arthropod if t.kind is Kind.ARTHROPOD_SLIDE else same_bridge
-    images = []
-    for moved in combinations(sorted(pcs), moved_size):
-        held = pcs - set(moved)
-        if moved_prime is not None and prime_form(moved) != moved_prime:
-            continue
-        if held_prime is not None and prime_form(held) != held_prime:
-            continue
-        for delta in (1, -1):
-            shifted = {(p + delta) % 12 for p in moved}
-            if shifted & held:
-                continue
-            image = find_chord(held | shifted, c.genus)
-            if image is not None and image.modality is not c.modality and in_region(c, image):
-                images.append(image)
-    return images
-
-
 @cache
 def apply(t: Transformation, c: Chord) -> Chord:
-    """Transform c by the named involution."""
+    """Transform c by the named involution: move the root by the token's
+    offset, up from a (+) chord and down from a (-) chord, and swap modality."""
     if t.genus != c.genus:
         raise GenusMismatchError(
             f"cannot apply {t.token} (n={t.genus.n}) to {c} (n={c.genus.n})"
         )
-    if t.kind is Kind.RELATIVE:
-        candidates = [
-            m
-            for m in arthropod_members(c)
-            if m.modality is not c.modality and vl_relation(c, m) == VoiceLeading(0, 1)
-        ]
-    elif t.kind is Kind.POLAR:
-        pcs = c.pitch_classes()
-        candidates = [
-            m
-            for m in bridge_members(c)
-            if m.modality is not c.modality and not (m.pitch_classes() & pcs)
-        ]
-    else:
-        candidates = _slide_images(t, c)
-    distinct = set(candidates)
-    if len(distinct) != 1:
-        raise InvariantViolationError(
-            f"{t.token} on {c} produced {len(distinct)} results instead of one"
-        )
-    return distinct.pop()
+    offset = t.offset if c.modality is Modality.PLUS else -t.offset
+    return Chord(c.genus, c.root + offset, c.modality.opposite)
 
 
 def transformation_between(x: Chord, y: Chord) -> Transformation | None:

@@ -2,13 +2,15 @@
 
 Every check enumerates its claim directly over the full 24-chord universe of
 a genus (or over all pitch-class sets, for the global checks) and reports
-pass or fail.  The voice-leading and cycle checks compare the library
-implementations to naive re-derivations kept deliberately separate from the
-code paths they confirm.
+pass or fail.  The voice-leading, slide-label and cycle checks compare the
+library implementations to naive re-derivations kept deliberately separate
+from the code paths they confirm; slide-labels re-derives the catalog's root
+offsets from the partition-and-shift definition of each slide.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import gcd
@@ -17,6 +19,7 @@ from .chord import (
     Chord,
     Modality,
     all_chords,
+    find_chord,
     genus,
     parent_symmetric_cell,
     perturb,
@@ -33,6 +36,7 @@ from .pcset import (
 from .region import (
     Region,
     RegionKind,
+    adjacency,
     arthropod_regions,
     bridge_regions,
     complementarity_pairs,
@@ -44,6 +48,7 @@ from .symmetry import cycle_from_generator, generators_of_z12, symmetric_partiti
 from .transform import (
     Kind,
     TETRAD_CLASSES,
+    Transformation,
     apply,
     catalog,
     transformation_between,
@@ -98,14 +103,6 @@ def _naive_vl(x: Chord, y: Chord) -> VoiceLeading | None:
     return best[1] if best else None
 
 
-def _adjacency(region: Region) -> dict[Chord, set[Chord]]:
-    adj: dict[Chord, set[Chord]] = {m: set() for m in region.members}
-    for e in region.edges:
-        adj[e.a].add(e.b)
-        adj[e.b].add(e.a)
-    return adj
-
-
 def _cube_adjacency() -> dict[tuple[int, int, int], set[tuple[int, int, int]]]:
     verts = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
     return {
@@ -145,25 +142,57 @@ def find_isomorphism(adj_a: dict, adj_b: dict) -> dict | None:
     return dict(mapping) if extend(0) else None
 
 
-def _slide_partition_ok(t, c: Chord, result: Chord) -> bool:
-    """Some partition of c matches t's held/moved parts and shifts onto result."""
+def _same_region(t: Transformation, c: Chord, image: Chord) -> bool:
+    """image lies in the region t keeps c in: c's arthropod region for
+    relatives and arthropod slides, its bridge region otherwise."""
+    if t.kind in (Kind.RELATIVE, Kind.ARTHROPOD_SLIDE):
+        return parent_symmetric_cell(image).cell == parent_symmetric_cell(c).cell
+    return (image.root - c.root) % (12 // c.genus.n) == 0
+
+
+def _slide_images(t: Transformation, c: Chord) -> set[Chord]:
+    """Every chord that t's partition-and-shift definition reaches from c:
+    split c into the held and moved parts t names, shift the moved part a
+    semitone either way, and keep the opposite-modality chords in t's region."""
+    # prime form of each named part: an interval class is a dyad, W / A / F a tetrad
+    held_class, moved_class = (
+        None if part is None else TETRAD_CLASSES.get(part, (0, part))
+        for part in (t.invariant, t.moved)
+    )
     pcs = c.pitch_classes()
-    target = result.pitch_classes()
-    moved_size = {None: 1, "W": 4, "A": 4, "F": 4}.get(t.moved, 2)
-    for moved in combinations(sorted(pcs), moved_size):
+    images = set()
+    for moved in combinations(sorted(pcs), len(moved_class) if moved_class else 1):
         held = pcs - set(moved)
-        if isinstance(t.moved, int) and prime_form(moved) != (0, t.moved):
+        if moved_class and prime_form(moved) != moved_class:
             continue
-        if isinstance(t.moved, str) and prime_form(moved) != TETRAD_CLASSES[t.moved]:
-            continue
-        if isinstance(t.invariant, int) and prime_form(held) != (0, t.invariant):
-            continue
-        if isinstance(t.invariant, str) and prime_form(held) != TETRAD_CLASSES[t.invariant]:
+        if held_class and prime_form(held) != held_class:
             continue
         for delta in (1, -1):
-            if held | {(p + delta) % 12 for p in moved} == target:
-                return True
-    return False
+            image = find_chord(held | {(p + delta) % 12 for p in moved}, c.genus)
+            if image is not None and image.modality is not c.modality and _same_region(t, c, image):
+                images.add(image)
+    return images
+
+
+def _cycle_checks(r: Region) -> tuple[bool, bool]:
+    """(cycle-counts, cycle-structure) for one bridge region, from a single
+    enumeration that is dropped on return."""
+    n = r.genus.n
+    cycles = enumerate_smooth_cycles(r)
+    counts_ok = Counter(len(cyc) for cyc in cycles) == EXPECTED_CYCLE_COUNTS[n]
+
+    adj = adjacency(r)
+    full = [cyc for cyc in cycles if len(cyc) == 2 * n]
+    ok = bool(full)
+    for cyc in cycles:
+        ring = cyc.chords
+        ok = ok and len(set(ring)) == len(ring)
+        for i, c in enumerate(ring):
+            nxt = ring[(i + 1) % len(ring)]
+            ok = ok and nxt in adj[c] and nxt.modality is not c.modality
+    for cyc in full:
+        ok = ok and cyc.pitch_union == r.pitch_union
+    return counts_ok, ok
 
 
 def _global_checks(results: list[CheckResult]) -> None:
@@ -308,11 +337,7 @@ def _genus_checks(n: int, results: list[CheckResult]) -> None:
     ok = True
     for t in cat:
         for c in chords:
-            image = apply(t, c)
-            if t.kind in (Kind.RELATIVE, Kind.ARTHROPOD_SLIDE):
-                ok = ok and parent_symmetric_cell(image).cell == parent_symmetric_cell(c).cell
-            else:
-                ok = ok and (image.root - c.root) % step == 0
+            ok = ok and _same_region(t, c, apply(t, c))
     add("region-closure", ok)
 
     ok = True
@@ -320,7 +345,7 @@ def _genus_checks(n: int, results: list[CheckResult]) -> None:
         if t.kind not in (Kind.ARTHROPOD_SLIDE, Kind.BRIDGE_SLIDE):
             continue
         for c in chords:
-            ok = ok and _slide_partition_ok(t, c, apply(t, c))
+            ok = ok and _slide_images(t, c) == {apply(t, c)}
     add("slide-labels", ok)
 
     ok = True
@@ -347,7 +372,7 @@ def _genus_checks(n: int, results: list[CheckResult]) -> None:
 
     ok = True
     for r in arthropod_regions(g):
-        adj = _adjacency(r)
+        adj = adjacency(r)
         ok = ok and len(r.edges) == n * n
         ok = ok and all(len(adj[m]) == n for m in r.members)
         for m in r.members:
@@ -356,14 +381,14 @@ def _genus_checks(n: int, results: list[CheckResult]) -> None:
             )
             ok = ok and relative_edges == 1
     for r in bridge_regions(g):
-        adj = _adjacency(r)
+        adj = adjacency(r)
         ok = ok and len(r.edges) == n * n - n
         ok = ok and all(len(adj[m]) == n - 1 for m in r.members)
     add("region-degrees", ok)
 
     ok = True
     for r in bridge_regions(g):
-        adj = _adjacency(r)
+        adj = adjacency(r)
         if n == 3:
             # 2-regular and connected on 6 vertices: a single hexagon
             walk = [r.members[0]]
@@ -388,30 +413,9 @@ def _genus_checks(n: int, results: list[CheckResult]) -> None:
                 ok = ok and len(adj[m]) == 5 and len(non) == 1
     add("graph-shape", ok)
 
-    ok = True
-    for r in bridge_regions(g):
-        cycles = enumerate_smooth_cycles(r)
-        histogram: dict[int, int] = {}
-        for cyc in cycles:
-            histogram[len(cyc)] = histogram.get(len(cyc), 0) + 1
-        ok = ok and histogram == EXPECTED_CYCLE_COUNTS[n]
-    add("cycle-counts", ok, f"expected {EXPECTED_CYCLE_COUNTS[n]}")
-
-    ok = True
-    for r in bridge_regions(g):
-        adj = _adjacency(r)
-        cycles = enumerate_smooth_cycles(r)
-        full = [cyc for cyc in cycles if len(cyc) == 2 * n]
-        ok = ok and bool(full)
-        for cyc in cycles:
-            ring = cyc.chords
-            ok = ok and len(set(ring)) == len(ring)
-            for i, c in enumerate(ring):
-                nxt = ring[(i + 1) % len(ring)]
-                ok = ok and nxt in adj[c] and nxt.modality is not c.modality
-        for cyc in full:
-            ok = ok and cyc.pitch_union == r.pitch_union
-    add("cycle-structure", ok)
+    cycle_results = [_cycle_checks(r) for r in bridge_regions(g)]
+    add("cycle-counts", all(counts for counts, _ in cycle_results), f"expected {EXPECTED_CYCLE_COUNTS[n]}")
+    add("cycle-structure", all(structure for _, structure in cycle_results))
 
     comp = complementarity_pairs(g)
     slides = {t.token for t in cat if t.kind in (Kind.ARTHROPOD_SLIDE, Kind.BRIDGE_SLIDE)}
@@ -420,13 +424,11 @@ def _genus_checks(n: int, results: list[CheckResult]) -> None:
     ok = ok and expected_pairs in comp.pairs
     add("complementarity", ok)
 
-    pole_token = {3: "H", 4: "O", 6: "Z"}[n]
-    pole = next(t for t in cat if t.token == pole_token)
     ok = True
     for c in chords:
         p = polar(c)
-        ok = ok and p == apply(pole, c)
-        ok = ok and not (c.pitch_classes() & p.pitch_classes())
+        others = [m for m in region_of(c, RegionKind.BRIDGE).members if m.modality is not c.modality]
+        ok = ok and [m for m in others if not (m.pitch_classes() & c.pitch_classes())] == [p]
         ok = ok and polar(p) == c
     add("polar-disjointness", ok)
 

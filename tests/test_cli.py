@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearsym.cli import main
 
@@ -229,3 +233,71 @@ def test_printed_chords_reparse(capsys):
         for line in out.splitlines():
             for token in line.split(":")[1].split():
                 parse_chord(token, genus(6))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partitions", "--n", "3"],
+        ["apply", "--genus", "3", "--chord", "C+", "--seq", "R"],
+        ["relate", "--genus", "3", "C+", "A-"],
+        ["region", "--genus", "3", "--kind", "bridge"],
+        ["cycles", "--genus", "3", "--containing", "C+"],
+        ["verify", "--genus", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dot_format_is_a_usage_error_outside_export(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "dot"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
+# Fuzzed argument values never start with "-", so argparse reads each one as
+# the value it was meant for; cycles stays on the small genera to stay fast.
+_CHORDISH = st.text(alphabet="ABCDEFGabcdefg#b+-\u266f\u266d ", max_size=5)
+_TOKENISH = st.text(alphabet="RSNPLHOZWAF*0123456()^{},rs ", max_size=12)
+_VALUE = st.one_of(_CHORDISH, _TOKENISH, st.text(max_size=8)).filter(
+    lambda v: not v.startswith("-")
+)
+
+
+@st.composite
+def _argvs(draw):
+    n = draw(st.sampled_from(["3", "4", "6"]))
+    fmt = ["--format", draw(st.sampled_from(["text", "json"]))]
+    command = draw(st.sampled_from(["apply", "relate", "region", "cycles", "export"]))
+    if command == "apply":
+        trace = ["--trace"] if draw(st.booleans()) else []
+        return ["apply", "--genus", n, "--chord", draw(_VALUE), "--seq", draw(_VALUE), *fmt, *trace]
+    if command == "relate":
+        return ["relate", "--genus", n, draw(_VALUE), draw(_VALUE), *fmt]
+    kind = ["--kind", draw(st.sampled_from(["arthropod", "bridge"]))]
+    if command == "region":
+        return ["region", "--genus", n, *kind, "--containing", draw(_VALUE), *fmt]
+    if command == "export":
+        fmt = ["--format", draw(st.sampled_from(["text", "json", "dot"]))]
+        return ["export", "--genus", n, *kind, "--containing", draw(_VALUE), *fmt]
+    bounds = [
+        str(draw(st.integers(min_value=0, max_value=9))),
+        str(draw(st.integers(min_value=0, max_value=9))),
+    ]
+    return [
+        "cycles", "--genus", draw(st.sampled_from(["3", "4"])), "--containing", draw(_VALUE),
+        "--min-len", bounds[0], "--max-len", bounds[1], *fmt,
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+def test_fuzzed_cli_input_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())

@@ -1,5 +1,6 @@
 import pytest
 
+from nearsym import region, transform
 from nearsym.chord import all_chords, genus, parent_symmetric_cell, parse_chord
 from nearsym.errors import GenusMismatchError, TokenParseError
 from nearsym.transform import (
@@ -12,6 +13,7 @@ from nearsym.transform import (
     transformation,
     transformation_between,
 )
+from nearsym.verify import run_checks
 from nearsym.voiceleading import VoiceLeading, vl_relation
 
 G3, G4, G6 = genus(3), genus(4), genus(6)
@@ -178,3 +180,30 @@ def test_apply_sequence():
 def test_apply_rejects_genus_mismatch():
     with pytest.raises(GenusMismatchError):
         apply(transformation("R", G3), parse_chord("C+", G4))
+
+
+def _clear_catalog_caches():
+    for cached in (transform.catalog, transform.apply, region.arthropod_regions, region.bridge_regions):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def s_and_n_swapped(monkeypatch):
+    rows = {row[0]: row for row in transform._ROWS[3]}
+    s_row, n_row = rows["S"], rows["N"]
+    rows["S"] = (*s_row[:-1], n_row[-1])
+    rows["N"] = (*n_row[:-1], s_row[-1])
+    monkeypatch.setitem(transform._ROWS, 3, tuple(rows.values()))
+    _clear_catalog_caches()
+    yield
+    monkeypatch.undo()
+    _clear_catalog_caches()
+
+
+def test_slide_oracle_catches_a_wrong_offset(s_and_n_swapped):
+    # S and N are both arthropod slides with P2,0 voice-leading, so swapping
+    # their offsets keeps every other claim true; only the partition-and-shift
+    # re-derivation can tell them apart.
+    assert _apply("S", "C+", G3) == "F-"
+    failed = [r.line() for r in run_checks(3) if not r.passed]
+    assert failed == ["FAIL slide-labels [n=3]"]
