@@ -186,10 +186,11 @@ def cmd_cycles(args) -> int:
                     {
                         "chords": [c.name(flats) for c in cyc.chords],
                         "length": len(cyc),
-                        "pitch_union": sorted(cyc.pitch_union),
-                        "set_class": set_class(cyc.pitch_union).forte_name,
+                        "pitch_union": sorted(union),
+                        "set_class": set_class(union).forte_name,
                     }
                     for cyc in cycles
+                    for union in (cyc.pitch_union,)
                 ],
                 "count": len(cycles),
             }
@@ -203,8 +204,6 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if args.format not in ("dot", "json"):
-        return _usage_error(f"export format must be 'dot' or 'json', not {args.format!r}")
     g = genus(args.genus)
     _, regions = _selected_regions(args, g)
     flats = args.accidentals == "flats"
@@ -241,15 +240,14 @@ def cmd_verify(args) -> int:
 
 def _output_options(formats: list[str]) -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=formats, default="text")
+    output.add_argument("--format", choices=formats, default=formats[0])
     output.add_argument("--accidentals", choices=["sharps", "flats"], default="sharps")
     return output
 
 
 def build_parser() -> argparse.ArgumentParser:
     output = _output_options(["text", "json"])
-    # export alone writes DOT; it rejects text itself, with its own message
-    graph_output = _output_options(["text", "json", "dot"])
+    graph_output = _output_options(["dot", "json"])
 
     with_genus = argparse.ArgumentParser(add_help=False)
     with_genus.add_argument("--genus", type=int, choices=[3, 4, 6], required=True)

@@ -4,7 +4,8 @@ An arthropod region collects the 2n perturbations of one symmetric cell; its
 graph is complete bipartite across modalities (one relative edge and n-1
 slide edges per chord).  A bridge region collects both modalities over one
 cell of roots; its graph is complete bipartite minus the polar pairs, which
-share no pitch classes.
+share no pitch classes.  Each smooth cycle of a bridge region is listed once,
+read from its smallest chord toward its smaller neighbour.
 """
 
 from __future__ import annotations
@@ -180,21 +181,13 @@ class SmoothCycle:
         return _pitch_union(self.chords)
 
 
-def _canonical_cycle(cycle: tuple[Chord, ...]) -> tuple[Chord, ...]:
-    # Rotate the smallest chord to the front in both directions, keep the
-    # lexicographically smaller reading.
-    variants = []
-    for seq in (cycle, tuple(reversed(cycle))):
-        i = min(range(len(seq)), key=lambda j: seq[j].sort_key)
-        variants.append(seq[i:] + seq[:i])
-    return min(variants, key=lambda v: tuple(c.sort_key for c in v))
-
-
 def enumerate_smooth_cycles(
     region: Region, min_len: int = 4, max_len: int | None = None
 ) -> tuple[SmoothCycle, ...]:
     """All simple cycles of the region graph with length (chord count) in
-    [min_len, max_len], deduplicated up to rotation and reflection.
+    [min_len, max_len], each listed once: read from its smallest chord toward
+    the smaller of that chord's two cycle neighbours.  Sorted by length, then
+    by chord sort keys.
 
     Defined for bridge regions only; the hexatonic graph has exactly one
     cycle, the hexagon itself.
@@ -207,29 +200,32 @@ def enumerate_smooth_cycles(
     if not 4 <= min_len <= max_len <= size:
         raise ValueError(f"cycle length bounds must satisfy 4 <= min <= max <= {size}")
 
+    # Vertex ids follow sort_key order, so comparing ids compares chords.
+    chords = sorted(region.members, key=lambda c: c.sort_key)
+    ids = {c: i for i, c in enumerate(chords)}
     adj = adjacency(region)
-    order = {m: i for i, m in enumerate(sorted(region.members, key=lambda c: c.sort_key))}
+    neighbours = [[ids[n] for n in adj[c]] for c in chords]
 
-    found: set[tuple[Chord, ...]] = set()
-
-    def extend(path: list[Chord], on_path: set[Chord]) -> None:
-        start, last = path[0], path[-1]
-        for nxt in adj[last]:
-            if nxt == start and min_len <= len(path) <= max_len:
-                found.add(_canonical_cycle(tuple(path)))
-            elif nxt not in on_path and order[nxt] > order[start] and len(path) < max_len:
-                path.append(nxt)
-                on_path.add(nxt)
-                extend(path, on_path)
+    # Each path starts at its cycle's smallest vertex; of the cycle's two
+    # readings, only the one with path[1] < path[-1] closes.
+    found: list[tuple[int, ...]] = []
+    for start in range(size):
+        path = [start]
+        stack = [iter(neighbours[start])]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
                 path.pop()
-                on_path.remove(nxt)
+            elif nxt == start:
+                if len(path) >= min_len and path[1] < path[-1]:
+                    found.append(tuple(path))
+            elif nxt > start and len(path) < max_len and nxt not in path:
+                path.append(nxt)
+                stack.append(iter(neighbours[nxt]))
 
-    for s in region.members:
-        extend([s], {s})
-
-    cycles = [SmoothCycle(c) for c in found]
-    cycles.sort(key=lambda cyc: (len(cyc), tuple(c.sort_key for c in cyc.chords)))
-    return tuple(cycles)
+    found.sort(key=lambda cycle: (len(cycle), cycle))
+    return tuple(SmoothCycle(tuple(chords[i] for i in cycle)) for cycle in found)
 
 
 class Complementarity(NamedTuple):

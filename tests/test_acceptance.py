@@ -187,11 +187,15 @@ def test_criterion_8_cycle_oracle_equivalence():
     with criterion(8, "cycle enumeration matches the independent oracle"):
         for g in ALL_GENERA:
             for r in bridge_regions(g):
-                ours = {tuple(c.chords) for c in enumerate_smooth_cycles(r)}
+                cycles = enumerate_smooth_cycles(r)
                 reference = cycle_oracle(
                     [(e.a, e.b) for e in r.edges], 4, 2 * g.n, key=lambda c: c.sort_key
                 )
-                assert ours == reference
+                assert {tuple(c.chords) for c in cycles} == reference
+                assert len(cycles) == len(reference)  # no cycle listed twice
+                assert list(cycles) == sorted(
+                    cycles, key=lambda cyc: (len(cyc), tuple(c.sort_key for c in cyc.chords))
+                )
         hexatonic = enumerate_smooth_cycles(bridge_regions(G3)[0])
         assert len(hexatonic) == 1
         octatonic = enumerate_smooth_cycles(bridge_regions(G4)[0])

@@ -184,13 +184,24 @@ def test_export_dot(capsys):
     assert out.count(" -- ") == 6
 
 
+def test_export_defaults_to_dot(capsys):
+    argv = ["export", "--genus", "4", "--kind", "arthropod", "--containing", "C+"]
+    code, default_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, dot_out, _ = run(capsys, *argv, "--format", "dot")
+    assert code == 0
+    assert default_out == dot_out
+
+
 def test_export_rejects_text_format(capsys):
-    code, _, err = run(
-        capsys, "export", "--genus", "3", "--kind", "bridge", "--containing", "C+",
-        "--format", "text",
-    )
-    assert code == 2
-    assert "export format" in err
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["export", "--genus", "3", "--kind", "bridge", "--containing", "C+", "--format", "text"]
+        )
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'text'" in captured.err
 
 
 def test_export_json_round_trips(capsys):

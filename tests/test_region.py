@@ -196,14 +196,29 @@ def test_dodecatonic_cycle_counts():
 def test_cycles_agree_with_independent_enumerator():
     for g in ALL_GENERA:
         for r in bridge_regions(g):
-            ours = {
-                tuple(cyc.chords)
-                for cyc in enumerate_smooth_cycles(r, 4, 2 * g.n)
-            }
+            cycles = enumerate_smooth_cycles(r, 4, 2 * g.n)
             reference = cycle_oracle(
                 [(e.a, e.b) for e in r.edges], 4, 2 * g.n, key=lambda c: c.sort_key
             )
-            assert ours == reference
+            assert {tuple(cyc.chords) for cyc in cycles} == reference
+            assert len(cycles) == len(reference)  # no cycle listed twice
+            assert list(cycles) == sorted(
+                cycles, key=lambda cyc: (len(cyc), tuple(c.sort_key for c in cyc.chords))
+            )
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_length_window_filters_the_full_enumeration(n):
+    regions = bridge_regions(genus(n))
+    windows = [(lo, hi) for lo in range(4, 2 * n + 1) for hi in range(lo, 2 * n + 1)]
+    if n == 6:  # one region and a spread of windows keep the n=6 case fast
+        regions = regions[:1]
+        windows = [(4, 5), (6, 7), (4, 9), (12, 12)]
+    for r in regions:
+        full = enumerate_smooth_cycles(r)
+        for lo, hi in windows:
+            expected = tuple(cyc for cyc in full if lo <= len(cyc) <= hi)
+            assert enumerate_smooth_cycles(r, lo, hi) == expected, (r, lo, hi)
 
 
 def test_cycles_alternate_and_close():
