@@ -105,7 +105,8 @@ class Chord:
         object.__setattr__(self, "root", self.root % 12)
 
     def pitch_classes(self) -> PcSet:
-        return frozenset((self.root + i) % 12 for i in self.genus.template(self.modality))
+        """The chord's pitch classes: a table lookup keyed by template and root."""
+        return _shifted(self.genus.template(self.modality), self.root)
 
     @property
     def sort_key(self) -> tuple[int, str]:
@@ -120,6 +121,11 @@ class Chord:
 
     def __repr__(self) -> str:
         return f"Chord({self.name()!r}, n={self.genus.n})"
+
+
+@cache
+def _shifted(template: tuple[int, ...], root: int) -> PcSet:
+    return frozenset((root + i) % 12 for i in template)
 
 
 class Perturbation(NamedTuple):

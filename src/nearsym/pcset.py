@@ -3,11 +3,17 @@
 Pitch classes are plain integers 0..11 (C=0, C#=1, ..., B=11) and a
 pitch-class set is a ``frozenset`` of them.  All operations normalize their
 inputs mod 12, so callers may pass arbitrary integers.
+
+``set_class`` is memoised per normalised set (at most 4,095 keys), so
+labelling every cycle a region emits costs one ``prime_form`` search per
+distinct union.  ``prime_form`` itself stays uncached: ``verify`` checks it
+directly on every set, and a cache there would share the path it checks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import cache
 from typing import NamedTuple
 
 PcSet = frozenset[int]
@@ -101,7 +107,12 @@ def set_class(s: Iterable[int]) -> SetClass:
     >>> set_class({0, 4, 8})
     SetClass(prime_form=(0, 4, 8), forte_name='3-12')
     """
-    prime = prime_form(s)
+    return _set_class(pcset(s))
+
+
+@cache
+def _set_class(members: PcSet) -> SetClass:
+    prime = prime_form(members)
     return SetClass(prime, FORTE_NAMES.get(prime))
 
 

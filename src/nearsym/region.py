@@ -206,23 +206,29 @@ def enumerate_smooth_cycles(
     adj = adjacency(region)
     neighbours = [[ids[n] for n in adj[c]] for c in chords]
 
-    # Each path starts at its cycle's smallest vertex; of the cycle's two
-    # readings, only the one with path[1] < path[-1] closes.
+    # Each path starts at its cycle's smallest vertex, so it walks only
+    # `above`, the neighbours larger than the start; `closes`, the start's
+    # own neighbours, says when the path can close.  Of the cycle's two
+    # readings, only the one with path[1] < path[-1] is emitted.
     found: list[tuple[int, ...]] = []
     for start in range(size):
+        above = [[m for m in nb if m > start] for nb in neighbours]
+        closes = set(neighbours[start])
         path = [start]
-        stack = [iter(neighbours[start])]
+        stack = [iter(above[start])]
         while stack:
             nxt = next(stack[-1], None)
             if nxt is None:
                 stack.pop()
                 path.pop()
-            elif nxt == start:
-                if len(path) >= min_len and path[1] < path[-1]:
-                    found.append(tuple(path))
-            elif nxt > start and len(path) < max_len and nxt not in path:
+            elif nxt not in path:
                 path.append(nxt)
-                stack.append(iter(neighbours[nxt]))
+                if len(path) >= min_len and nxt in closes and path[1] < nxt:
+                    found.append(tuple(path))
+                if len(path) < max_len:
+                    stack.append(iter(above[nxt]))
+                else:
+                    path.pop()
 
     found.sort(key=lambda cycle: (len(cycle), cycle))
     return tuple(SmoothCycle(tuple(chords[i] for i in cycle)) for cycle in found)

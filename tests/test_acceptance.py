@@ -26,7 +26,7 @@ from nearsym.verify import find_isomorphism
 from nearsym.voiceleading import VoiceLeading, vl_relation
 import nearsym.cli
 
-from oracles import cycle_oracle, vl_oracle
+from oracles import vl_oracle
 
 G3, G4, G6 = genus(3), genus(4), genus(6)
 ALL_GENERA = (G3, G4, G6)
@@ -183,14 +183,12 @@ def test_criterion_7_graph_shapes():
                 assert len(missing) == 1  # the removed perfect matching
 
 
-def test_criterion_8_cycle_oracle_equivalence():
+def test_criterion_8_cycle_oracle_equivalence(bridge_cycle_oracle):
     with criterion(8, "cycle enumeration matches the independent oracle"):
         for g in ALL_GENERA:
             for r in bridge_regions(g):
                 cycles = enumerate_smooth_cycles(r)
-                reference = cycle_oracle(
-                    [(e.a, e.b) for e in r.edges], 4, 2 * g.n, key=lambda c: c.sort_key
-                )
+                reference = bridge_cycle_oracle[g.n, r.id]
                 assert {tuple(c.chords) for c in cycles} == reference
                 assert len(cycles) == len(reference)  # no cycle listed twice
                 assert list(cycles) == sorted(

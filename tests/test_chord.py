@@ -42,6 +42,17 @@ def test_pitch_classes():
     assert parse_chord("A-", G3).pitch_classes() == {9, 0, 4}
 
 
+def test_pitch_classes_lookup_matches_the_template_for_all_72_chords():
+    count = 0
+    for g in (G3, G4, G6):
+        for c in all_chords(g):
+            expected = frozenset((c.root + i) % 12 for i in g.template(c.modality))
+            assert c.pitch_classes() == expected  # first call fills the table
+            assert c.pitch_classes() == expected  # a repeat call reads it
+            count += 1
+    assert count == 72
+
+
 def test_name_of():
     assert name_of({0, 1, 4, 6, 8, 10}, G6) == parse_chord("C+", G6)
     assert name_of({11, 2, 4, 6, 8, 10}, G6) == parse_chord("A#+", G6)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 
@@ -312,3 +313,26 @@ def test_fuzzed_cli_input_exits_cleanly(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
+
+
+def test_cycles_run_prime_form_once_per_distinct_union(capsys, monkeypatch):
+    # The package re-exports the function `pcset`, which hides the module
+    # of the same name from attribute access.
+    pcset_module = importlib.import_module("nearsym.pcset")
+    calls = []
+    prime_form = pcset_module.prime_form
+
+    def counting(s):
+        calls.append(s)
+        return prime_form(s)
+
+    monkeypatch.setattr(pcset_module, "prime_form", counting)
+    code, out, _ = run(
+        capsys, "cycles", "--genus", "6", "--containing", "C+",
+        "--min-len", "4", "--max-len", "5", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 90
+    assert len({tuple(c["pitch_union"]) for c in payload["cycles"]}) == 1
+    assert len(calls) <= 1

@@ -41,8 +41,9 @@ def test_prime_form_unnamed_class():
 def test_prime_form_of_empty_set_is_an_error():
     with pytest.raises(ValueError):
         prime_form(())
-    with pytest.raises(ValueError):
-        set_class(frozenset())
+    for _ in range(2):  # the set-class memo stores no exception
+        with pytest.raises(ValueError):
+            set_class(frozenset())
 
 
 def test_interval_class_vector_examples():
@@ -76,3 +77,20 @@ def test_icv_is_ti_invariant(s, t, axis):
     icv = interval_class_vector(s)
     assert icv == interval_class_vector(transpose(s, t))
     assert icv == interval_class_vector(invert(s, axis))
+
+
+def test_set_class_memo_matches_prime_form_on_every_set():
+    sets = [frozenset(p for p in range(12) if mask >> p & 1) for mask in range(1, 1 << 12)]
+    assert len(sets) == 4095
+    for s in sets:
+        prime = prime_form(s)
+        expected = (prime, FORTE_NAMES.get(prime))
+        assert set_class(s) == expected  # first call fills the memo
+        assert set_class(s) == expected  # a repeat call reads it
+
+
+def test_set_class_normalises_before_the_memo():
+    expected = set_class(frozenset({0, 4, 7}))
+    assert set_class([12, 16, 19]) == expected
+    assert set_class((-12, 4, 7)) == expected
+    assert set_class([7, 4, 0, 12]) == expected
