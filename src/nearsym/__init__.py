@@ -39,7 +39,6 @@ from .pcset import (
     interval_class_vector,
     invert,
     pc,
-    pcset,
     prime_form,
     set_class,
     transpose,

@@ -65,6 +65,9 @@ class Genus:
     def template(self, modality: Modality) -> tuple[int, ...]:
         return self.plus_template if modality is Modality.PLUS else self.minus_template
 
+    def __hash__(self) -> int:
+        return hash(self.n)
+
     def __repr__(self) -> str:
         return f"Genus(n={self.n})"
 
@@ -95,6 +98,8 @@ class Chord:
     """A concrete chord, identified by (genus, root, modality).
 
     The pitch-class set is derived from the genus template, never stored.
+    The hash is fixed at construction, from the cardinality, the reduced
+    root and the modality, so dict and cache lookups cost no field hashing.
     """
 
     genus: Genus
@@ -103,6 +108,11 @@ class Chord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "root", self.root % 12)
+        key = (self.genus.n, self.root, self.modality is Modality.PLUS)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def pitch_classes(self) -> PcSet:
         """The chord's pitch classes: a table lookup keyed by template and root."""

@@ -38,6 +38,10 @@ FORTE_NAMES: dict[tuple[int, ...], str] = {
 }
 
 
+# The interval class of an ascending interval of 0..11 semitones.
+_INTERVAL_CLASS = (0, 1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1)
+
+
 class SetClass(NamedTuple):
     prime_form: tuple[int, ...]
     forte_name: str | None
@@ -91,14 +95,14 @@ def prime_form(s: Iterable[int]) -> tuple[int, ...]:
     members = pcset(s)
     if not members:
         raise ValueError("prime form of the empty set is undefined")
-    candidates = []
+    best = None
     for form in (sorted(members), sorted(invert(members))):
-        k = len(form)
-        for i in range(k):
-            rotation = form[i:] + [v + 12 for v in form[:i]]
-            zeroed = tuple(v - rotation[0] for v in rotation)
-            candidates.append((zeroed[-1], zeroed))
-    return min(candidates)[1]
+        for i, first in enumerate(form):
+            zeroed = tuple([(v - first) % 12 for v in form[i:] + form[:i]])
+            candidate = (zeroed[-1], zeroed)
+            if best is None or candidate < best:
+                best = candidate
+    return best[1]
 
 
 def set_class(s: Iterable[int]) -> SetClass:
@@ -123,9 +127,8 @@ def interval_class_vector(s: Iterable[int]) -> tuple[int, int, int, int, int, in
     (0, 6, 0, 6, 0, 3)
     """
     members = sorted(pcset(s))
-    counts = [0] * 6
+    counts = [0] * 7  # indexed by interval class; slot 0 stays empty
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            d = (b - a) % 12
-            counts[min(d, 12 - d) - 1] += 1
-    return tuple(counts)  # type: ignore[return-value]
+            counts[_INTERVAL_CLASS[b - a]] += 1
+    return tuple(counts[1:])  # type: ignore[return-value]

@@ -71,6 +71,9 @@ class Transformation:
     moved: SlidePart = None
     offset: int = 0  # image root minus source root, for a (+) source
 
+    def __hash__(self) -> int:
+        return hash((self.genus.n, self.token))
+
     def __str__(self) -> str:
         return self.token
 

@@ -11,6 +11,7 @@ offsets from the partition-and-shift definition of each slide.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import gcd
@@ -36,6 +37,7 @@ from .pcset import (
 from .region import (
     Region,
     RegionKind,
+    SmoothCycle,
     adjacency,
     arthropod_regions,
     bridge_regions,
@@ -174,25 +176,62 @@ def _slide_images(t: Transformation, c: Chord) -> set[Chord]:
     return images
 
 
-def _cycle_checks(r: Region) -> tuple[bool, bool]:
-    """(cycle-counts, cycle-structure) for one bridge region, from a single
-    enumeration that is dropped on return."""
+def _cycle_checks(r: Region) -> tuple[bool, str]:
+    """(cycle-counts passed, cycle-structure failure) for one bridge region,
+    from a single enumeration that is dropped on return.  The failure is ""
+    when every cycle holds up, else the first offending cycle and the rule it
+    breaks."""
     n = r.genus.n
     cycles = enumerate_smooth_cycles(r)
     counts_ok = Counter(len(cyc) for cyc in cycles) == EXPECTED_CYCLE_COUNTS[n]
+    return counts_ok, _cycle_structure(r, cycles)
 
+
+def _cycle_structure(r: Region, cycles: tuple[SmoothCycle, ...]) -> str:
+    """Every cycle visits distinct members of r along its edges, closing hop
+    included, alternating modality; every full-length cycle covers r's pitch
+    union, and there is one.  Members are integer ids, with a neighbour mask,
+    a modality flag and a pitch-class mask per id."""
+    members = r.members
+    ids = {m: i for i, m in enumerate(members)}
     adj = adjacency(r)
-    full = [cyc for cyc in cycles if len(cyc) == 2 * n]
-    ok = bool(full)
+    neighbours = [_mask(ids[o] for o in adj[m]) for m in members]
+    plus = [m.modality is Modality.PLUS for m in members]
+    pitches = [_mask(m.pitch_classes()) for m in members]
+    union = _mask(r.pitch_union)
+    full = 2 * r.genus.n
+    any_full = False
     for cyc in cycles:
-        ring = cyc.chords
-        ok = ok and len(set(ring)) == len(ring)
-        for i, c in enumerate(ring):
-            nxt = ring[(i + 1) % len(ring)]
-            ok = ok and nxt in adj[c] and nxt.modality is not c.modality
-    for cyc in full:
-        ok = ok and cyc.pitch_union == r.pitch_union
-    return counts_ok, ok
+        try:
+            ring = [ids[c] for c in cyc.chords]
+        except KeyError as missing:
+            return _culprit(cyc, f"{missing.args[0]} is not in the region")
+        seen = covered = 0
+        prev = ring[-1]
+        for v in ring:
+            bit = 1 << v
+            if seen & bit:
+                return _culprit(cyc, f"{members[v]} repeats")
+            if plus[prev] == plus[v]:
+                return _culprit(cyc, f"{members[prev]} -> {members[v]} keeps the modality")
+            if not neighbours[prev] & bit:
+                return _culprit(cyc, f"{members[prev]} -> {members[v]} is not an edge")
+            seen |= bit
+            covered |= pitches[v]
+            prev = v
+        if len(ring) == full:
+            if covered != union:
+                return _culprit(cyc, "it misses part of the region's pitch union")
+            any_full = True
+    return "" if any_full else f"{r.family} region {r.id} has no cycle of length {full}"
+
+
+def _mask(bits: Iterable[int]) -> int:
+    return sum(1 << b for b in bits)
+
+
+def _culprit(cyc: SmoothCycle, rule: str) -> str:
+    return f"cycle {' '.join(c.name() for c in cyc.chords)}: {rule}"
 
 
 def _global_checks(results: list[CheckResult]) -> None:
@@ -415,7 +454,8 @@ def _genus_checks(n: int, results: list[CheckResult]) -> None:
 
     cycle_results = [_cycle_checks(r) for r in bridge_regions(g)]
     add("cycle-counts", all(counts for counts, _ in cycle_results), f"expected {EXPECTED_CYCLE_COUNTS[n]}")
-    add("cycle-structure", all(structure for _, structure in cycle_results))
+    failure = next((failure for _, failure in cycle_results if failure), "")
+    add("cycle-structure", not failure, failure)
 
     comp = complementarity_pairs(g)
     slides = {t.token for t in cat if t.kind in (Kind.ARTHROPOD_SLIDE, Kind.BRIDGE_SLIDE)}

@@ -59,6 +59,8 @@ def invocations() -> list[list[str]]:
                     )
     out.append(["verify"])
     out.append(["verify", "--format", "json"])
+    for n in (3, 4, 6):
+        out.extend(["verify", "--genus", str(n)] + fmt for fmt in FORMATS)
     return out
 
 

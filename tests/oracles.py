@@ -1,6 +1,8 @@
 """Independent reference implementations used only to cross-check the
-library: a from-scratch voice-leading search and a networkx-backed cycle
-enumerator.  Nothing here imports the code paths it verifies."""
+library: a from-scratch voice-leading search, a networkx-backed cycle
+enumerator, and the candidate-list prime form and min-based interval-class
+vector the library kernels replaced.  Nothing here imports the code paths it
+verifies."""
 
 from itertools import permutations
 
@@ -49,3 +51,30 @@ def cycle_oracle(edges, min_len, max_len, key):
         if len(cycle) >= min_len:
             out.add(canonical_cycle(cycle, key))
     return out
+
+
+def prime_form_oracle(s):
+    """Prime form by building all 24 zeroed rotations of the set and of its
+    inversion, then taking the most compact, lexicographically smallest."""
+    members = frozenset(v % 12 for v in s)
+    if not members:
+        raise ValueError("prime form of the empty set is undefined")
+    candidates = []
+    for form in (sorted(members), sorted((-v) % 12 for v in members)):
+        k = len(form)
+        for i in range(k):
+            rotation = form[i:] + [v + 12 for v in form[:i]]
+            zeroed = tuple(v - rotation[0] for v in rotation)
+            candidates.append((zeroed[-1], zeroed))
+    return min(candidates)[1]
+
+
+def icv_oracle(s):
+    """Interval-class vector, each pair's class as min(d, 12 - d)."""
+    members = sorted(frozenset(v % 12 for v in s))
+    counts = [0] * 6
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            d = (b - a) % 12
+            counts[min(d, 12 - d) - 1] += 1
+    return tuple(counts)

@@ -1,8 +1,12 @@
+import dataclasses
+
 import pytest
 
 from nearsym.chord import (
+    GENERA,
     Chord,
     Direction,
+    Genus,
     Modality,
     all_chords,
     arthropod_collection,
@@ -184,3 +188,27 @@ def test_opposite_perturbations_are_inversionally_related():
 def test_find_chord_returns_none_for_non_members():
     assert find_chord({0, 4, 8}, G3) is None
     assert find_chord({0, 4, 7}, G3) == Chord(G3, 0, Modality.PLUS)
+
+
+def test_chord_hash_follows_the_reduced_root():
+    for g in (G3, G4, G6):
+        for c in all_chords(g):
+            lifted = Chord(g, c.root + 12, c.modality)
+            assert lifted == c
+            assert hash(lifted) == hash(c)
+    # the hash is no dataclass field, so repr, eq and fields() keep their shape
+    assert [f.name for f in dataclasses.fields(Chord)] == ["genus", "root", "modality"]
+
+
+def test_rebuilt_genus_equals_and_hashes_like_the_original():
+    for g in GENERA.values():
+        rebuilt = Genus(*(getattr(g, f.name) for f in dataclasses.fields(g)))
+        assert rebuilt is not g
+        assert rebuilt == g
+        assert hash(rebuilt) == hash(g)
+
+
+def test_all_72_chords_hash_apart():
+    universe = [c for g in (G3, G4, G6) for c in all_chords(g)]
+    assert len(universe) == 72
+    assert len({hash(c) for c in universe}) == 72

@@ -1,5 +1,4 @@
 import contextlib
-import importlib
 import io
 import json
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nearsym.pcset
 from nearsym.cli import main
 
 
@@ -316,17 +316,14 @@ def test_fuzzed_cli_input_exits_cleanly(argv):
 
 
 def test_cycles_run_prime_form_once_per_distinct_union(capsys, monkeypatch):
-    # The package re-exports the function `pcset`, which hides the module
-    # of the same name from attribute access.
-    pcset_module = importlib.import_module("nearsym.pcset")
     calls = []
-    prime_form = pcset_module.prime_form
+    prime_form = nearsym.pcset.prime_form
 
     def counting(s):
         calls.append(s)
         return prime_form(s)
 
-    monkeypatch.setattr(pcset_module, "prime_form", counting)
+    monkeypatch.setattr(nearsym.pcset, "prime_form", counting)
     code, out, _ = run(
         capsys, "cycles", "--genus", "6", "--containing", "C+",
         "--min-len", "4", "--max-len", "5", "--format", "json",

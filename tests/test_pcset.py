@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nearsym
+import nearsym.pcset
 from nearsym.pcset import (
     FORTE_NAMES,
     interval_class_vector,
@@ -10,6 +12,7 @@ from nearsym.pcset import (
     set_class,
     transpose,
 )
+from oracles import icv_oracle, prime_form_oracle
 
 pc_sets = st.frozensets(st.integers(min_value=0, max_value=11), max_size=12)
 nonempty_pc_sets = st.frozensets(st.integers(min_value=0, max_value=11), min_size=1, max_size=12)
@@ -94,3 +97,15 @@ def test_set_class_normalises_before_the_memo():
     assert set_class([12, 16, 19]) == expected
     assert set_class((-12, 4, 7)) == expected
     assert set_class([7, 4, 0, 12]) == expected
+
+
+def test_kernels_match_their_oracles_on_every_set():
+    for mask in range(1, 1 << 12):
+        s = frozenset(p for p in range(12) if mask >> p & 1)
+        assert prime_form(s) == prime_form_oracle(s), sorted(s)
+        assert interval_class_vector(s) == icv_oracle(s), sorted(s)
+
+
+def test_package_attribute_pcset_is_the_module():
+    assert nearsym.pcset.prime_form is nearsym.prime_form
+    assert nearsym.pcset.pcset([13, -1]) == {1, 11}

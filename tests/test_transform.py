@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from nearsym import region, transform
@@ -207,3 +209,12 @@ def test_slide_oracle_catches_a_wrong_offset(s_and_n_swapped):
     assert _apply("S", "C+", G3) == "F-"
     failed = [r.line() for r in run_checks(3) if not r.passed]
     assert failed == ["FAIL slide-labels [n=3]"]
+
+
+def test_rebuilt_transformations_equal_and_hash_like_the_catalog():
+    for g in ALL_GENERA:
+        for t in catalog(g):
+            rebuilt = dataclasses.replace(t)
+            assert rebuilt is not t
+            assert rebuilt == t
+            assert hash(rebuilt) == hash(t)
