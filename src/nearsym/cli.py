@@ -2,14 +2,19 @@
 
 Subcommands: partitions, apply, relate, region, cycles, export, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 domain error (wrong genus, invalid chord for the genus, and similar).
+3 domain error (wrong genus, invalid chord for the genus, and similar),
+141 standard output closed early by its reader (``nearsym cycles ... | head``;
+128 + SIGPIPE, the status a shell gives a writer killed by a closed pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import reduce
+from operator import or_
 
 from .chord import NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus, parse_chord
 from .errors import (
@@ -24,10 +29,10 @@ from .region import (
     RegionKind,
     arthropod_regions,
     bridge_regions,
-    enumerate_smooth_cycles,
     export_graph,
     region_of,
     region_to_dict,
+    smooth_cycle_ids,
 )
 from .symmetry import symmetric_partition
 from .transform import apply as apply_transformation
@@ -39,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _note_names(args) -> tuple[str, ...]:
@@ -162,6 +168,32 @@ def _format_union(union, names) -> str:
     return " ".join(names[p] for p in sorted(union)) + f" = {label}"
 
 
+def _mask_pcs(mask: int) -> list[int]:
+    """The pitch classes of a 12-bit mask, ascending."""
+    return [p for p in range(12) if mask >> p & 1]
+
+
+def _rendered_cycles(cycles, masks, names, head: str, sep: str, tail):
+    """Each cycle of ids as text: head, its members' names joined by sep,
+    then tail(union mask, length), computed once per distinct pair."""
+    tails: dict[tuple[int, int], str] = {}
+    for cycle in cycles:
+        key = (reduce(or_, map(masks.__getitem__, cycle)), len(cycle))
+        end = tails.get(key)
+        if end is None:
+            end = tails[key] = tail(*key)
+        yield head + sep.join(map(names.__getitem__, cycle)) + end
+
+
+def _json_cycle_tail(union: int, length: int) -> str:
+    pcs = ",\n".join(f"        {p}" for p in _mask_pcs(union))
+    forte = json.dumps(set_class(_mask_pcs(union)).forte_name)
+    return (
+        f'\n      ],\n      "length": {length},\n      "pitch_union": [\n{pcs}\n      ],'
+        f'\n      "set_class": {forte}\n    }}'
+    )
+
+
 def cmd_cycles(args) -> int:
     g = genus(args.genus)
     chord = parse_chord(args.containing, g)
@@ -171,35 +203,36 @@ def cmd_cycles(args) -> int:
         return _usage_error(
             f"cycle lengths must satisfy 4 <= min <= max <= {2 * g.n}"
         )
-    cycles = enumerate_smooth_cycles(region, args.min_len, max_len)
+    chords, cycles = smooth_cycle_ids(region, args.min_len, max_len)
     flats = args.accidentals == "flats"
-    names = _note_names(args)
+    masks = [sum(1 << p for p in c.pitch_classes()) for c in chords]
+    write = sys.stdout.write
+    # Streamed a cycle at a time.  The JSON must stay byte-equal to
+    # json.dumps(payload, indent=2) + "\n" of the payload {kind, genus, id,
+    # min_len, max_len, cycles: [{chords, length, pitch_union, set_class}],
+    # count}.
     if args.format == "json":
-        _emit_json(
-            {
-                "kind": "bridge",
-                "genus": g.n,
-                "id": str(region.id),
-                "min_len": args.min_len,
-                "max_len": max_len,
-                "cycles": [
-                    {
-                        "chords": [c.name(flats) for c in cyc.chords],
-                        "length": len(cyc),
-                        "pitch_union": sorted(union),
-                        "set_class": set_class(union).forte_name,
-                    }
-                    for cyc in cycles
-                    for union in (cyc.pitch_union,)
-                ],
-                "count": len(cycles),
-            }
+        write(
+            f'{{\n  "kind": "bridge",\n  "genus": {g.n},\n  "id": "{region.id}",'
+            f'\n  "min_len": {args.min_len},\n  "max_len": {max_len},\n  "cycles": ['
         )
+        members = [f"        {json.dumps(c.name(flats))}" for c in chords]
+        head = '\n    {\n      "chords": [\n'
+        sep = ""
+        for text in _rendered_cycles(cycles, masks, members, head, ",\n", _json_cycle_tail):
+            write(sep + text)
+            sep = ","
+        write(("\n  ]" if cycles else "]") + f',\n  "count": {len(cycles)}\n}}\n')
         return EXIT_OK
-    for cyc in cycles:
-        chords = " ".join(c.name(flats) for c in cyc.chords)
-        print(f"{chords} | union {_format_union(cyc.pitch_union, names)}")
-    print(f"total: {len(cycles)}")
+    note_names = _note_names(args)
+
+    def text_tail(union: int, _length: int) -> str:
+        return f" | union {_format_union(_mask_pcs(union), note_names)}\n"
+
+    names = [c.name(flats) for c in chords]
+    for text in _rendered_cycles(cycles, masks, names, "", " ", text_tail):
+        write(text)
+    write(f"total: {len(cycles)}\n")
     return EXIT_OK
 
 
@@ -296,16 +329,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # interpreter exit has somewhere to put what is still buffered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ChordParseError, TokenParseError) as exc:
         return _usage_error(str(exc))
     except (UnsupportedCardinalityError, GenusMismatchError, NotAMemberError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    if sys.stdout is not None:
+        return _run(args)
+    # Started with stdout closed: discard the output, as print() would.
+    with open(os.devnull, "w") as sys.stdout:
+        return _run(args)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import chain
 from typing import NamedTuple
 
 from .chord import Chord, Genus, Modality, arthropod_collection
@@ -181,17 +182,13 @@ class SmoothCycle:
         return _pitch_union(self.chords)
 
 
-def enumerate_smooth_cycles(
+def smooth_cycle_ids(
     region: Region, min_len: int = 4, max_len: int | None = None
-) -> tuple[SmoothCycle, ...]:
-    """All simple cycles of the region graph with length (chord count) in
-    [min_len, max_len], each listed once: read from its smallest chord toward
-    the smaller of that chord's two cycle neighbours.  Sorted by length, then
-    by chord sort keys.
-
-    Defined for bridge regions only; the hexatonic graph has exactly one
-    cycle, the hexagon itself.
-    """
+) -> tuple[tuple[Chord, ...], tuple[tuple[int, ...], ...]]:
+    """The smooth cycles of a bridge region as integer ids: the region's
+    chords in sort_key order, and each cycle as a tuple of indices into them.
+    Same cycles, order and bounds as ``enumerate_smooth_cycles``, which
+    wraps this; ``nearsym cycles`` renders straight from the ids."""
     if region.kind is not RegionKind.BRIDGE:
         raise ValueError("smooth cycles are defined only on bridge regions")
     size = len(region.members)
@@ -201,16 +198,17 @@ def enumerate_smooth_cycles(
         raise ValueError(f"cycle length bounds must satisfy 4 <= min <= max <= {size}")
 
     # Vertex ids follow sort_key order, so comparing ids compares chords.
-    chords = sorted(region.members, key=lambda c: c.sort_key)
+    chords = tuple(sorted(region.members, key=lambda c: c.sort_key))
     ids = {c: i for i, c in enumerate(chords)}
     adj = adjacency(region)
-    neighbours = [[ids[n] for n in adj[c]] for c in chords]
+    neighbours = [sorted(ids[n] for n in adj[c]) for c in chords]
 
     # Each path starts at its cycle's smallest vertex, so it walks only
     # `above`, the neighbours larger than the start; `closes`, the start's
     # own neighbours, says when the path can close.  Of the cycle's two
-    # readings, only the one with path[1] < path[-1] is emitted.
-    found: list[tuple[int, ...]] = []
+    # readings, only the one with path[1] < path[-1] is emitted.  Starts and
+    # neighbours ascend, so each length's list fills in sorted order.
+    found: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
     for start in range(size):
         above = [[m for m in nb if m > start] for nb in neighbours]
         closes = set(neighbours[start])
@@ -224,14 +222,30 @@ def enumerate_smooth_cycles(
             elif nxt not in path:
                 path.append(nxt)
                 if len(path) >= min_len and nxt in closes and path[1] < nxt:
-                    found.append(tuple(path))
+                    found[len(path)].append(tuple(path))
                 if len(path) < max_len:
                     stack.append(iter(above[nxt]))
                 else:
                     path.pop()
 
-    found.sort(key=lambda cycle: (len(cycle), cycle))
-    return tuple(SmoothCycle(tuple(chords[i] for i in cycle)) for cycle in found)
+    return chords, tuple(chain.from_iterable(found))
+
+
+def enumerate_smooth_cycles(
+    region: Region, min_len: int = 4, max_len: int | None = None
+) -> tuple[SmoothCycle, ...]:
+    """All simple cycles of the region graph with length (chord count) in
+    [min_len, max_len], each listed once: read from its smallest chord toward
+    the smaller of that chord's two cycle neighbours.  Sorted by length, then
+    by chord sort keys.
+
+    Defined for bridge regions only; the hexatonic graph has exactly one
+    cycle, the hexagon itself.  ``smooth_cycle_ids`` gives the same cycles
+    as integer ids, without building a ``SmoothCycle`` per cycle; the
+    ``cycles`` command uses it.
+    """
+    chords, cycles = smooth_cycle_ids(region, min_len, max_len)
+    return tuple(SmoothCycle(tuple(chords[i] for i in cycle)) for cycle in cycles)
 
 
 class Complementarity(NamedTuple):

@@ -57,10 +57,12 @@ from .transform import (
 )
 from .voiceleading import VoiceLeading, vl_relation
 
-# Simple-cycle counts of the bridge graphs, keyed by cycle length.  Fixed by
-# an independent enumeration of complete-bipartite-minus-matching graphs run
-# before this module existed; the n=4 figures equal the known cube-graph
-# counts.
+# Simple-cycle counts of the bridge graphs, keyed by cycle length.  Each
+# bridge graph is a crown graph, K(n,n) minus a perfect matching, whose
+# Hamiltonian cycles number (n-1)! * U_n / 2, with U_n the menage numbers
+# (Lucas 1891; Touchard 1934): U_3 = 1, U_4 = 2, U_6 = 80 give 1, 6, 4800.
+# The shorter lengths follow by inclusion-exclusion over the missing
+# matching (tests/oracles.py, crown_cycle_counts).
 EXPECTED_CYCLE_COUNTS: dict[int, dict[int, int]] = {
     3: {6: 1},
     4: {4: 6, 6: 16, 8: 6},

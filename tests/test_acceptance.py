@@ -8,6 +8,7 @@ re-derivations in tests/oracles.py.
 
 from contextlib import contextmanager
 
+import networkx as nx
 import pytest
 
 from nearsym.chord import all_chords, arthropod_collection, genus, parse_chord
@@ -22,16 +23,15 @@ from nearsym.region import (
     region_of,
 )
 from nearsym.transform import Kind, apply, catalog, transformation
-from nearsym.verify import find_isomorphism
 from nearsym.voiceleading import VoiceLeading, vl_relation
 import nearsym.cli
 
-from oracles import vl_oracle
+from oracles import crown_hamiltonian_cycles, vl_oracle
 
 G3, G4, G6 = genus(3), genus(4), genus(6)
 ALL_GENERA = (G3, G4, G6)
 
-DODECATONIC_HAMILTONIAN_COUNT = 4800  # fixed by the standalone oracle pre-build
+DODECATONIC_HAMILTONIAN_COUNT = 4800  # 5! * U_6 / 2, U_6 = 80 the sixth menage number
 
 
 @contextmanager
@@ -155,22 +155,11 @@ def test_criterion_7_graph_shapes():
                     break
                 walk.append(nxt)
             assert len(walk) == 6
-        cube = {
-            (a, b, c): {
-                (x, y, z)
-                for x in (0, 1) for y in (0, 1) for z in (0, 1)
-                if (a != x) + (b != y) + (c != z) == 1
-            }
-            for a in (0, 1) for b in (0, 1) for c in (0, 1)
-        }
         for r in bridge_regions(G4):
             adj = _adjacency(r)
             assert all(len(adj[m]) == 3 for m in r.members)
-            mapping = find_isomorphism(adj, cube)
-            assert mapping is not None
-            for u in adj:  # check the witness edge by edge
-                for v in adj:
-                    assert (v in adj[u]) == (mapping[v] in cube[mapping[u]])
+            graph = nx.Graph((u, v) for u in adj for v in adj[u])
+            assert nx.is_isomorphic(graph, nx.hypercube_graph(3))
         for r in bridge_regions(G6):
             adj = _adjacency(r)
             assert len(r.members) == 12
@@ -204,6 +193,7 @@ def test_criterion_8_cycle_oracle_equivalence(bridge_cycle_oracle):
         assert len(octatonic) == 28
         dodecatonic = enumerate_smooth_cycles(bridge_regions(G6)[0], 12, 12)
         assert len(dodecatonic) == DODECATONIC_HAMILTONIAN_COUNT
+        assert crown_hamiltonian_cycles(6) == DODECATONIC_HAMILTONIAN_COUNT
 
 
 def test_criterion_9_complementarity():

@@ -1,13 +1,21 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nearsym.cli
 import nearsym.pcset
-from nearsym.cli import main
+from nearsym.chord import NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus
+from nearsym.cli import EXIT_BROKEN_PIPE, main
+from nearsym.pcset import set_class
+from nearsym.region import bridge_regions, enumerate_smooth_cycles
 
 
 def run(capsys, *argv):
@@ -333,3 +341,153 @@ def test_cycles_run_prime_form_once_per_distinct_union(capsys, monkeypatch):
     assert payload["count"] == 90
     assert len({tuple(c["pitch_union"]) for c in payload["cycles"]}) == 1
     assert len(calls) <= 1
+
+
+def _env_with_src():
+    """The environment, with this checkout's package first on PYTHONPATH."""
+    src = str(Path(nearsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_stdout_closed_by_its_reader_exits_quietly_with_the_broken_pipe_code():
+    # The full n=6 listing is far larger than a pipe buffer, so the writer is
+    # still writing when the reader closes its end.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nearsym", "cycles", "--genus", "6", "--containing", "C+"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    assert first.decode().startswith("C+ ")
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partitions", "--n", "3"],
+        ["cycles", "--genus", "3", "--containing", "C+"],
+        ["export", "--genus", "3", "--kind", "bridge", "--containing", "C+"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_closed_from_the_start_exits_quietly(argv):
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m nearsym "$@" >&-', sys.executable, *argv],
+        capture_output=True, text=True, env=_env_with_src(), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# Writer oracle: `cycles` output against a reference built here from the
+# public enumerate_smooth_cycles and json.dumps, in the format the command
+# printed before it rendered from cycle ids.  Cycles travel with their
+# pitch unions, (cycle, union) pairs, so that each union is computed once.
+
+def _with_unions(region):
+    return [(cyc, cyc.pitch_union) for cyc in enumerate_smooth_cycles(region)]
+
+
+def _cycles_payload(region, cycles, lo, hi, flats):
+    rows = []
+    for cyc, union in cycles:
+        rows.append({
+            "chords": [c.name(flats) for c in cyc.chords],
+            "length": len(cyc),
+            "pitch_union": sorted(union),
+            "set_class": set_class(union).forte_name,
+        })
+    return {
+        "kind": "bridge",
+        "genus": region.genus.n,
+        "id": str(region.id),
+        "min_len": lo,
+        "max_len": hi,
+        "cycles": rows,
+        "count": len(rows),
+    }
+
+
+def _cycles_text(cycles, flats):
+    names = NOTE_NAMES_FLAT if flats else NOTE_NAMES_SHARP
+    lines = []
+    for cyc, union in cycles:
+        sc = set_class(union)
+        label = sc.forte_name or "(" + ",".join(str(v) for v in sc.prime_form) + ")"
+        chords = " ".join(c.name(flats) for c in cyc.chords)
+        lines.append(f"{chords} | union {' '.join(names[p] for p in sorted(union))} = {label}\n")
+    return "".join(lines) + f"total: {len(cycles)}\n"
+
+
+def _cycles_out(region, lo, hi, fmt, flats):
+    argv = [
+        "cycles", "--genus", str(region.genus.n), "--containing", region.members[0].name(),
+        "--min-len", str(lo), "--max-len", str(hi), "--format", fmt,
+        "--accidentals", "flats" if flats else "sharps",
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def _assert_same_text(out, expected):
+    """out == expected, failing with the first differing line rather than a
+    diff of megabytes."""
+    if out != expected:
+        got, want = out.splitlines(True), expected.splitlines(True)
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"line {i + 1}: got {got[i:i + 1]}, want {want[i:i + 1]}")
+
+
+def _assert_byte_equal(region, full, lo, hi, flats):
+    cycles = [(cyc, union) for cyc, union in full if lo <= len(cyc) <= hi]
+    payload = _cycles_payload(region, cycles, lo, hi, flats)
+    _assert_same_text(_cycles_out(region, lo, hi, "json", flats), json.dumps(payload, indent=2) + "\n")
+    _assert_same_text(_cycles_out(region, lo, hi, "text", flats), _cycles_text(cycles, flats))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cycles_writer_matches_the_reference_on_every_window(n):
+    for region in bridge_regions(genus(n)):
+        full = _with_unions(region)
+        for lo in range(4, 2 * n + 1):
+            for hi in range(lo, 2 * n + 1):
+                for flats in (False, True):
+                    _assert_byte_equal(region, full, lo, hi, flats)
+
+
+def test_cycles_writer_matches_the_reference_on_dodecatonic_windows(monkeypatch):
+    region = bridge_regions(genus(6))[0]
+    full = _with_unions(region)
+    # Byte for byte on the full range and the benchmark's windows, one
+    # spelling each; the golden replay pins the other spelling.
+    _assert_byte_equal(region, full, 4, 12, False)
+    for lo, hi in [(4, 5), (6, 7), (4, 9), (12, 12)]:
+        _assert_byte_equal(region, full, lo, hi, True)
+    # All 45 windows in both spellings, on every 97th cycle (each length is
+    # represented) so that the test stays fast: the enumerator is replaced by
+    # that sample, filtered to the window, and the writer must render it.
+    # test_length_window_filters_the_full_enumeration checks that a window
+    # is the full enumeration filtered by length.
+    sample = full[::97]
+    assert {len(cyc) for cyc, _ in sample} == {4, 6, 8, 10, 12}
+    chords = tuple(sorted(region.members, key=lambda c: c.sort_key))
+    ids = [tuple(chords.index(c) for c in cyc.chords) for cyc, _ in sample]
+    monkeypatch.setattr(
+        nearsym.cli, "smooth_cycle_ids",
+        lambda r, lo, hi: (chords, tuple(c for c in ids if lo <= len(c) <= hi)),
+    )
+    for lo in range(4, 13):
+        for hi in range(lo, 13):
+            cycles = [(cyc, union) for cyc, union in sample if lo <= len(cyc) <= hi]
+            for flats in (False, True):
+                payload = _cycles_payload(region, cycles, lo, hi, flats)
+                assert json.loads(_cycles_out(region, lo, hi, "json", flats)) == payload
+                text = _cycles_out(region, lo, hi, "text", flats)
+                _assert_same_text(text, _cycles_text(cycles, flats))

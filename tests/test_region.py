@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -17,8 +18,9 @@ from nearsym.region import (
     region_to_dict,
 )
 from nearsym.transform import Kind, apply, transformation, transformation_between
+from nearsym.verify import EXPECTED_CYCLE_COUNTS
 
-from oracles import canonical_cycle
+from oracles import canonical_cycle, crown_cycle_counts, crown_hamiltonian_cycles
 
 G3, G4, G6 = genus(3), genus(4), genus(6)
 ALL_GENERA = (G3, G4, G6)
@@ -184,7 +186,7 @@ def test_octatonic_cycle_counts():
 
 
 def test_dodecatonic_cycle_counts():
-    # counts fixed by the pre-build enumeration of K(6,6) minus a matching
+    # K(6,6) minus a matching; test_cycle_counts_match_the_closed_form derives them
     for r in bridge_regions(G6):
         cycles = enumerate_smooth_cycles(r)
         by_length = {}
@@ -203,6 +205,22 @@ def test_cycles_agree_with_independent_enumerator(bridge_cycle_oracle):
             assert list(cycles) == sorted(
                 cycles, key=lambda cyc: (len(cyc), tuple(c.sort_key for c in cyc.chords))
             )
+
+
+def test_cycle_counts_match_the_closed_form(bridge_cycle_oracle):
+    # The closed form against brute force on crown graphs outside the genera too.
+    for k in range(2, 6):
+        crown = nx.complete_bipartite_graph(k, k)
+        crown.remove_edges_from((i, k + i) for i in range(k))
+        lengths = Counter(len(c) for c in nx.simple_cycles(crown))
+        assert crown_cycle_counts(k) == dict(lengths)
+    for n, pinned in EXPECTED_CYCLE_COUNTS.items():
+        closed_form = crown_cycle_counts(n)
+        assert closed_form == pinned
+        assert closed_form[2 * n] == crown_hamiltonian_cycles(n)
+        for r in bridge_regions(genus(n)):
+            assert Counter(len(c) for c in bridge_cycle_oracle[n, r.id]) == closed_form
+    assert crown_hamiltonian_cycles(6) == 4800
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
