@@ -3,8 +3,10 @@
 Subcommands: partitions, apply, relate, region, cycles, export, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 domain error (wrong genus, invalid chord for the genus, and similar),
-141 standard output closed early by its reader (``nearsym cycles ... | head``;
-128 + SIGPIPE, the status a shell gives a writer killed by a closed pipe).
+74 standard output cannot be written (a full disk, ``> /dev/full``; sysexits
+EX_IOERR), 141 standard output closed early by its reader
+(``nearsym cycles ... | head``; 128 + SIGPIPE, the status a shell gives a
+writer killed by a closed pipe).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_IO = 74
 EXIT_BROKEN_PIPE = 141
 
 
@@ -334,11 +337,15 @@ def _run(args) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
-    except BrokenPipeError:
-        # The reader is gone.  Point stdout at devnull so that the flush at
-        # interpreter exit has somewhere to put what is still buffered.
+    except OSError as exc:
+        # The reader is gone or the output cannot be written.  Point stdout
+        # at devnull so that the flush at interpreter exit has somewhere to
+        # put what is still buffered.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_IO
     except (ChordParseError, TokenParseError) as exc:
         return _usage_error(str(exc))
     except (UnsupportedCardinalityError, GenusMismatchError, NotAMemberError) as exc:

@@ -17,7 +17,7 @@ from functools import cache
 from itertools import chain
 from typing import NamedTuple
 
-from .chord import Chord, Genus, Modality, arthropod_collection
+from .chord import Chord, Genus, Modality, arthropod_collection, parent_symmetric_cell
 from .errors import InvariantViolationError
 from .pcset import PcSet, set_class
 from .symmetry import symmetric_partition
@@ -143,12 +143,14 @@ def bridge_regions(g: Genus) -> tuple[Region, ...]:
 
 
 def region_of(c: Chord, kind: RegionKind) -> Region:
-    """The unique region of the given kind containing c."""
-    regions = arthropod_regions(c.genus) if kind is RegionKind.ARTHROPOD else bridge_regions(c.genus)
-    for r in regions:
-        if c in r.members:
-            return r
-    raise InvariantViolationError(f"{c} missing from all {kind.value} regions")
+    """The unique region of the given kind containing c, by arithmetic.  A
+    bridge region holds one cell of roots, so c's is number c.root % (12/n);
+    an arthropod region holds the perturbations of one symmetric cell, so
+    c's is numbered by the smallest pitch class of c's parent cell.  Both
+    region lists are ordered by these numbers, their region ids."""
+    if kind is RegionKind.ARTHROPOD:
+        return arthropod_regions(c.genus)[min(parent_symmetric_cell(c).cell)]
+    return bridge_regions(c.genus)[c.root % (12 // c.genus.n)]
 
 
 def polar(c: Chord) -> Chord:

@@ -6,6 +6,12 @@ pass or fail.  The voice-leading, slide-label and cycle checks compare the
 library implementations to naive re-derivations kept deliberately separate
 from the code paths they confirm; slide-labels re-derives the catalog's root
 offsets from the partition-and-shift definition of each slide.
+
+graph-shape checks one rule for every genus: each bridge graph is the crown
+graph, K(n,n) minus a perfect matching, with the two modalities as its sides
+(the missing matching is the polar pairs, which share no pitch class).  The
+crown graph on 3 + 3 vertices is the hexagon C6 and on 4 + 4 the cube Q3, so
+the rule covers the hexatonic and octatonic shapes too.
 """
 
 from __future__ import annotations
@@ -37,14 +43,13 @@ from .pcset import (
 from .region import (
     Region,
     RegionKind,
-    SmoothCycle,
     adjacency,
     arthropod_regions,
     bridge_regions,
     complementarity_pairs,
-    enumerate_smooth_cycles,
     polar,
     region_of,
+    smooth_cycle_ids,
 )
 from .symmetry import cycle_from_generator, generators_of_z12, symmetric_partition
 from .transform import (
@@ -107,51 +112,12 @@ def _naive_vl(x: Chord, y: Chord) -> VoiceLeading | None:
     return best[1] if best else None
 
 
-def _cube_adjacency() -> dict[tuple[int, int, int], set[tuple[int, int, int]]]:
-    verts = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    return {
-        u: {v for v in verts if sum(x != y for x, y in zip(u, v)) == 1} for u in verts
-    }
-
-
-def find_isomorphism(adj_a: dict, adj_b: dict) -> dict | None:
-    """Backtracking vertex matching between two small graphs."""
-    nodes_a = sorted(adj_a, key=str)
-    nodes_b = sorted(adj_b, key=str)
-    if len(nodes_a) != len(nodes_b):
-        return None
-    if sorted(len(adj_a[v]) for v in nodes_a) != sorted(len(adj_b[v]) for v in nodes_b):
-        return None
-
-    mapping: dict = {}
-    used: set = set()
-
-    def extend(i: int) -> bool:
-        if i == len(nodes_a):
-            return True
-        u = nodes_a[i]
-        for v in nodes_b:
-            if v in used or len(adj_b[v]) != len(adj_a[u]):
-                continue
-            if any((mapping[w] in adj_b[v]) != (w in adj_a[u]) for w in mapping):
-                continue
-            mapping[u] = v
-            used.add(v)
-            if extend(i + 1):
-                return True
-            del mapping[u]
-            used.remove(v)
-        return False
-
-    return dict(mapping) if extend(0) else None
-
-
 def _same_region(t: Transformation, c: Chord, image: Chord) -> bool:
     """image lies in the region t keeps c in: c's arthropod region for
     relatives and arthropod slides, its bridge region otherwise."""
-    if t.kind in (Kind.RELATIVE, Kind.ARTHROPOD_SLIDE):
-        return parent_symmetric_cell(image).cell == parent_symmetric_cell(c).cell
-    return (image.root - c.root) % (12 // c.genus.n) == 0
+    arthropod = t.kind in (Kind.RELATIVE, Kind.ARTHROPOD_SLIDE)
+    kind = RegionKind.ARTHROPOD if arthropod else RegionKind.BRIDGE
+    return region_of(image, kind) == region_of(c, kind)
 
 
 def _slide_images(t: Transformation, c: Chord) -> set[Chord]:
@@ -183,47 +149,46 @@ def _cycle_checks(r: Region) -> tuple[bool, str]:
     from a single enumeration that is dropped on return.  The failure is ""
     when every cycle holds up, else the first offending cycle and the rule it
     breaks."""
-    n = r.genus.n
-    cycles = enumerate_smooth_cycles(r)
-    counts_ok = Counter(len(cyc) for cyc in cycles) == EXPECTED_CYCLE_COUNTS[n]
-    return counts_ok, _cycle_structure(r, cycles)
+    chords, cycles = smooth_cycle_ids(r)
+    counts_ok = Counter(map(len, cycles)) == EXPECTED_CYCLE_COUNTS[r.genus.n]
+    return counts_ok, _cycle_structure(r, chords, cycles)
 
 
-def _cycle_structure(r: Region, cycles: tuple[SmoothCycle, ...]) -> str:
-    """Every cycle visits distinct members of r along its edges, closing hop
+def _cycle_structure(
+    r: Region, chords: tuple[Chord, ...], cycles: tuple[tuple[int, ...], ...]
+) -> str:
+    """The cycles are id tuples indexing chords, which must be r's members.
+    Every cycle visits distinct members along r's edges, closing hop
     included, alternating modality; every full-length cycle covers r's pitch
-    union, and there is one.  Members are integer ids, with a neighbour mask,
-    a modality flag and a pitch-class mask per id."""
-    members = r.members
-    ids = {m: i for i, m in enumerate(members)}
+    union, and there is one.  Each id has a neighbour mask, a modality flag
+    and a pitch-class mask."""
+    if len(chords) != len(r.members) or set(chords) != set(r.members):
+        return f"{r.family} region {r.id}: the cycle ids do not number its members"
+    ids = {c: i for i, c in enumerate(chords)}
     adj = adjacency(r)
-    neighbours = [_mask(ids[o] for o in adj[m]) for m in members]
-    plus = [m.modality is Modality.PLUS for m in members]
-    pitches = [_mask(m.pitch_classes()) for m in members]
+    neighbours = [_mask(ids[o] for o in adj[c]) for c in chords]
+    plus = [c.modality is Modality.PLUS for c in chords]
+    pitches = [_mask(c.pitch_classes()) for c in chords]
     union = _mask(r.pitch_union)
     full = 2 * r.genus.n
     any_full = False
-    for cyc in cycles:
-        try:
-            ring = [ids[c] for c in cyc.chords]
-        except KeyError as missing:
-            return _culprit(cyc, f"{missing.args[0]} is not in the region")
+    for ring in cycles:
         seen = covered = 0
         prev = ring[-1]
         for v in ring:
             bit = 1 << v
             if seen & bit:
-                return _culprit(cyc, f"{members[v]} repeats")
+                return _culprit(chords, ring, f"{chords[v]} repeats")
             if plus[prev] == plus[v]:
-                return _culprit(cyc, f"{members[prev]} -> {members[v]} keeps the modality")
+                return _culprit(chords, ring, f"{chords[prev]} -> {chords[v]} keeps the modality")
             if not neighbours[prev] & bit:
-                return _culprit(cyc, f"{members[prev]} -> {members[v]} is not an edge")
+                return _culprit(chords, ring, f"{chords[prev]} -> {chords[v]} is not an edge")
             seen |= bit
             covered |= pitches[v]
             prev = v
         if len(ring) == full:
             if covered != union:
-                return _culprit(cyc, "it misses part of the region's pitch union")
+                return _culprit(chords, ring, "it misses part of the region's pitch union")
             any_full = True
     return "" if any_full else f"{r.family} region {r.id} has no cycle of length {full}"
 
@@ -232,8 +197,8 @@ def _mask(bits: Iterable[int]) -> int:
     return sum(1 << b for b in bits)
 
 
-def _culprit(cyc: SmoothCycle, rule: str) -> str:
-    return f"cycle {' '.join(c.name() for c in cyc.chords)}: {rule}"
+def _culprit(chords: tuple[Chord, ...], ring: tuple[int, ...], rule: str) -> str:
+    return f"cycle {' '.join(chords[v].name() for v in ring)}: {rule}"
 
 
 def _global_checks(results: list[CheckResult]) -> None:
@@ -334,7 +299,7 @@ def _genus_checks(n: int, results: list[CheckResult]) -> None:
             ok = ok and sum(m.modality is Modality.PLUS for m in r.members) == n
             seen |= set(r.members)
         ok = ok and seen == set(chords)
-        ok = ok and all(region_of(c, kind) in regions for c in chords)
+        ok = ok and all(c in region_of(c, kind).members for c in chords)
         add(f"{kind.value}-partition", ok)
 
     ok = True
@@ -427,31 +392,18 @@ def _genus_checks(n: int, results: list[CheckResult]) -> None:
         ok = ok and all(len(adj[m]) == n - 1 for m in r.members)
     add("region-degrees", ok)
 
+    # Every bridge graph is the crown graph on n + n chords: K(n,n) across
+    # the modalities minus the perfect matching of polar pairs.  Each member
+    # has n opposite-modality members, degree n-1 and exactly one
+    # opposite-modality non-neighbour, so all its edges cross and the
+    # non-neighbours pair everyone off.  For n = 3 the crown graph is the
+    # hexagon C6, for n = 4 the cube Q3.
     ok = True
     for r in bridge_regions(g):
         adj = adjacency(r)
-        if n == 3:
-            # 2-regular and connected on 6 vertices: a single hexagon
-            walk = [r.members[0]]
-            while True:
-                options = [m for m in adj[walk[-1]] if len(walk) < 2 or m != walk[-2]]
-                nxt = min(options, key=lambda c: c.sort_key)
-                if nxt == walk[0]:
-                    break
-                walk.append(nxt)
-            ok = ok and len(walk) == 6
-        elif n == 4:
-            ok = ok and find_isomorphism(adj, _cube_adjacency()) is not None
-        else:
-            # complete bipartite minus a perfect matching: the non-neighbors
-            # across modalities pair everyone off exactly once
-            for m in r.members:
-                non = [
-                    o
-                    for o in r.members
-                    if o.modality is not m.modality and o not in adj[m]
-                ]
-                ok = ok and len(adj[m]) == 5 and len(non) == 1
+        for m in r.members:
+            across = {o for o in r.members if o.modality is not m.modality}
+            ok = ok and len(across) == n and len(adj[m]) == n - 1 and len(across - adj[m]) == 1
     add("graph-shape", ok)
 
     cycle_results = [_cycle_checks(r) for r in bridge_regions(g)]

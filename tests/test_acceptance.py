@@ -11,8 +11,8 @@ from contextlib import contextmanager
 import networkx as nx
 import pytest
 
-from nearsym.chord import all_chords, arthropod_collection, genus, parse_chord
-from nearsym.pcset import set_class
+from nearsym.chord import Modality, all_chords, arthropod_collection, genus, parse_chord
+from nearsym.pcset import CHROMATIC, set_class
 from nearsym.region import (
     RegionKind,
     arthropod_regions,
@@ -121,6 +121,11 @@ def test_criterion_5_bridge_pitch_unions():
         for g, name in expected.items():
             for r in bridge_regions(g):
                 assert set_class(r.pitch_union).forte_name == name
+        # the hexatonic and octatonic unions are distinct transpositions;
+        # both dodecatonic unions are the whole chromatic
+        assert len({r.pitch_union for r in bridge_regions(G3)}) == 4
+        assert len({r.pitch_union for r in bridge_regions(G4)}) == 3
+        assert all(r.pitch_union == CHROMATIC for r in bridge_regions(G6))
 
 
 def test_criterion_6_partition_claims():
@@ -129,47 +134,38 @@ def test_criterion_6_partition_claims():
             for builder in (arthropod_regions, bridge_regions):
                 regions = builder(g)
                 assert len(regions) == count
+                for r in regions:
+                    assert len(r.members) == 2 * g.n
+                    assert sum(m.modality is Modality.PLUS for m in r.members) == g.n
                 members = [m for r in regions for m in r.members]
                 assert len(members) == 24
                 assert set(members) == set(all_chords(g))
 
 
-def _adjacency(region):
-    adj = {m: set() for m in region.members}
-    for e in region.edges:
-        adj[e.a].add(e.b)
-        adj[e.b].add(e.a)
-    return adj
+def _crown(n):
+    """The crown graph: K(n,n) minus a perfect matching, sides in the
+    "bipartite" node attribute."""
+    graph = nx.complete_bipartite_graph(n, n)
+    graph.remove_edges_from((i, n + i) for i in range(n))
+    return graph
 
 
 def test_criterion_7_graph_shapes():
     with criterion(7, "hexagon / cube / K(6,6)-minus-matching graph shapes"):
-        for r in bridge_regions(G3):
-            adj = _adjacency(r)
-            assert all(len(adj[m]) == 2 for m in r.members)
-            # walking the 2-regular graph returns to the start after 6 steps
-            walk = [r.members[0], next(iter(adj[r.members[0]]))]
-            while True:
-                nxt = next(m for m in adj[walk[-1]] if m != walk[-2])
-                if nxt == walk[0]:
-                    break
-                walk.append(nxt)
-            assert len(walk) == 6
-        for r in bridge_regions(G4):
-            adj = _adjacency(r)
-            assert all(len(adj[m]) == 3 for m in r.members)
-            graph = nx.Graph((u, v) for u in adj for v in adj[u])
-            assert nx.is_isomorphic(graph, nx.hypercube_graph(3))
-        for r in bridge_regions(G6):
-            adj = _adjacency(r)
-            assert len(r.members) == 12
-            assert all(len(adj[m]) == 5 for m in r.members)
-            for m in r.members:
-                missing = [
-                    o for o in r.members
-                    if o.modality is not m.modality and o not in adj[m]
-                ]
-                assert len(missing) == 1  # the removed perfect matching
+        assert nx.is_isomorphic(_crown(3), nx.cycle_graph(6))
+        assert nx.is_isomorphic(_crown(4), nx.hypercube_graph(3))
+        for g in ALL_GENERA:
+            for r in bridge_regions(g):
+                graph = nx.Graph()
+                graph.add_nodes_from(
+                    (m, {"bipartite": int(m.modality is Modality.MINUS)}) for m in r.members
+                )
+                graph.add_edges_from((e.a, e.b) for e in r.edges)
+                # the modalities are the two sides, the polar pairs the matching
+                assert nx.is_isomorphic(
+                    graph, _crown(g.n), node_match=lambda a, b: a["bipartite"] == b["bipartite"]
+                )
+                assert not any(graph.has_edge(m, polar(m)) for m in r.members)
 
 
 def test_criterion_8_cycle_oracle_equivalence(bridge_cycle_oracle):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import nearsym.cli
 import nearsym.pcset
 from nearsym.chord import NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus
-from nearsym.cli import EXIT_BROKEN_PIPE, main
+from nearsym.cli import EXIT_BROKEN_PIPE, EXIT_IO, main
 from nearsym.pcset import set_class
 from nearsym.region import bridge_regions, enumerate_smooth_cycles
 
@@ -382,6 +382,24 @@ def test_stdout_closed_from_the_start_exits_quietly(argv):
         capture_output=True, text=True, env=_env_with_src(), timeout=60,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["cycles", "--genus", "3", "--containing", "C+"], ["verify", "--genus", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_stdout_exits_with_the_io_error_code(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nearsym", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_env_with_src(), timeout=60,
+        )
+    assert proc.returncode == EXIT_IO == 74
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 # Writer oracle: `cycles` output against a reference built here from the

@@ -1,39 +1,52 @@
-"""The cycle-structure check fails on tampered enumerator output and names
-the offending cycle and the rule it breaks; on honest output it passes with
-an empty detail."""
+"""Tampered inputs fail the verify claims that should catch them.
+
+The cycle-structure check fails on tampered enumerator ids and names the
+offending cycle and the rule it breaks; on honest ids it passes with an
+empty detail.  A region lookup that answers with the wrong region fails the
+partition checks, and a bridge graph with an edge too many, or with two
+edges switched to same-modality pairs, fails graph-shape."""
 
 import pytest
 
 from nearsym import verify
-from nearsym.chord import genus
-from nearsym.region import SmoothCycle, bridge_regions, enumerate_smooth_cycles, polar
+from nearsym.chord import genus, parse_chord
+from nearsym.region import (
+    RegionKind,
+    arthropod_regions,
+    bridge_regions,
+    polar,
+    region_of,
+    smooth_cycle_ids,
+)
 
 REGION = bridge_regions(genus(6))[0]
-CYCLES = enumerate_smooth_cycles(REGION)
+CHORDS, CYCLES = smooth_cycle_ids(REGION)
 K = 50  # a 4-cycle in the middle of the 90 four-chord cycles
-A, B, C, D = CYCLES[K].chords  # A, C share a modality; B, D the other
+a, b, c, d = CYCLES[K]  # a, c share a modality; b, d the other
+A, B, C, D = (CHORDS[v] for v in CYCLES[K])
+p = CHORDS.index(polar(A))
 
 
 def _names(*chords):
-    return " ".join(c.name() for c in chords)
+    return " ".join(ch.name() for ch in chords)
 
 
-def _replace_kth(*chords):
-    return CYCLES[:K] + (SmoothCycle(chords),) + CYCLES[K + 1 :]
+def _replace_kth(*ids):
+    return CYCLES[:K] + (ids,) + CYCLES[K + 1 :]
 
 
-# tamper -> (enumerator output, expected cycle-structure detail)
+# tamper -> (enumerator ids, expected cycle-structure detail)
 TAMPERS = {
     "non-edge hop": (
-        _replace_kth(A, polar(A), C, D),
+        _replace_kth(a, p, c, d),
         f"cycle {_names(A, polar(A), C, D)}: {A} -> {polar(A)} is not an edge",
     ),
     "repeated chord": (
-        _replace_kth(A, B, A, D),
+        _replace_kth(a, b, a, d),
         f"cycle {_names(A, B, A, D)}: {A} repeats",
     ),
     "same-modality neighbours": (
-        _replace_kth(A, B, D, C),
+        _replace_kth(a, b, d, c),
         f"cycle {_names(A, B, D, C)}: {C} -> {A} keeps the modality",
     ),
     "no full-length cycle": (
@@ -44,10 +57,14 @@ TAMPERS = {
 
 
 def _enumerate_as(monkeypatch, cycles):
-    real = enumerate_smooth_cycles
+    real = smooth_cycle_ids
     monkeypatch.setattr(
-        verify, "enumerate_smooth_cycles", lambda r: cycles if r == REGION else real(r)
+        verify, "smooth_cycle_ids", lambda r: (CHORDS, cycles) if r == REGION else real(r)
     )
+
+
+def _failed(n):
+    return [r.line() for r in verify.run_checks(n) if not r.passed]
 
 
 def test_cycle_structure_passes_on_the_enumerator_output(monkeypatch):
@@ -67,5 +84,75 @@ def test_cycle_structure_names_the_tampered_cycle(monkeypatch, tamper):
 def test_a_tampered_region_fails_only_its_claims_in_the_report(monkeypatch):
     cycles, detail = TAMPERS["non-edge hop"]
     _enumerate_as(monkeypatch, cycles)
-    failed = [r.line() for r in verify.run_checks(6) if not r.passed]
-    assert failed == [f"FAIL cycle-structure [n=6]: {detail}"]
+    assert _failed(6) == [f"FAIL cycle-structure [n=6]: {detail}"]
+
+
+def test_ids_that_do_not_number_the_region_fail_cycle_structure(monkeypatch):
+    outsider = bridge_regions(genus(6))[1].members[0]
+    chords = (outsider,) + CHORDS[1:]
+    monkeypatch.setattr(verify, "smooth_cycle_ids", lambda r: (chords, CYCLES))
+    detail = "dodecatonic region 0: the cycle ids do not number its members"
+    assert verify._cycle_checks(REGION) == (True, detail)
+
+
+def test_a_region_lookup_one_region_off_fails_both_partitions(monkeypatch):
+    g = genus(4)
+    c_plus = parse_chord("C+", g)
+    real = region_of
+
+    def shifted(chord, kind):
+        if chord != c_plus:
+            return real(chord, kind)
+        regions = arthropod_regions(g) if kind is RegionKind.ARTHROPOD else bridge_regions(g)
+        return regions[(regions.index(real(chord, kind)) + 1) % len(regions)]
+
+    monkeypatch.setattr(verify, "region_of", shifted)
+    failed = _failed(4)
+    assert "FAIL arthropod-partition [n=4]" in failed
+    assert "FAIL bridge-partition [n=4]" in failed
+
+
+def _link(adj, x, y):
+    adj[x].add(y)
+    adj[y].add(x)
+
+
+def _unlink(adj, x, y):
+    adj[x].remove(y)
+    adj[y].remove(x)
+
+
+def _polar_edge(adj, x):
+    _link(adj, x, polar(x))
+
+
+def _same_modality_edge(adj, x):
+    _link(adj, x, next(m for m in adj if m != x and m.modality is x.modality))
+
+
+def _two_edges_switched(adj, x):
+    # x-y and u-v become x-u and y-v: every degree stays n-1, but two edges
+    # keep the modality and x has two opposite-modality non-neighbours
+    y = min(adj[x], key=lambda m: m.sort_key)
+    u = next(m for m in adj if m != x and m.modality is x.modality)
+    v = min((m for m in adj[u] if m != y), key=lambda m: m.sort_key)
+    _unlink(adj, x, y)
+    _unlink(adj, u, v)
+    _link(adj, x, u)
+    _link(adj, y, v)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("tamper", [_polar_edge, _same_modality_edge, _two_edges_switched])
+def test_a_tampered_bridge_graph_fails_graph_shape(monkeypatch, n, tamper):
+    region = bridge_regions(genus(n))[0]
+    real = verify.adjacency
+
+    def adjacency(r):
+        adj = real(r)
+        if r == region:
+            tamper(adj, r.members[0])
+        return adj
+
+    monkeypatch.setattr(verify, "adjacency", adjacency)
+    assert f"FAIL graph-shape [n={n}]" in _failed(n)
