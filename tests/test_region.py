@@ -4,7 +4,8 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from nearsym.chord import all_chords, genus, parse_chord
+from nearsym.chord import Modality, all_chords, genus, parse_chord
+from nearsym.pcset import CHROMATIC, set_class
 from nearsym.region import (
     RegionKind,
     arthropod_regions,
@@ -24,9 +25,25 @@ from oracles import canonical_cycle, crown_cycle_counts, crown_hamiltonian_cycle
 G3, G4, G6 = genus(3), genus(4), genus(6)
 ALL_GENERA = (G3, G4, G6)
 
+EXPECTED_REGION_COUNTS = {3: 4, 4: 3, 6: 2}
+
 
 def chords(g, *names):
     return {parse_chord(name, g) for name in names}
+
+
+@pytest.mark.parametrize("builder", [arthropod_regions, bridge_regions])
+def test_regions_partition_every_genus(builder):
+    for g in ALL_GENERA:
+        regions = builder(g)
+        assert len(regions) == EXPECTED_REGION_COUNTS[g.n]
+        seen = set()
+        for r in regions:
+            assert len(r.members) == 2 * g.n
+            assert sum(m.modality is Modality.PLUS for m in r.members) == g.n
+            assert not (seen & set(r.members))
+            seen |= set(r.members)
+        assert seen == set(all_chords(g))
 
 
 def test_named_region_membership():
@@ -56,6 +73,16 @@ def test_hexatonic_compass_aliases():
     assert region_of(parse_chord("C+", G3), RegionKind.BRIDGE).alias == "Northern"
     assert all(r.alias is None for r in arthropod_regions(G3))
     assert all(r.alias is None for r in bridge_regions(G4))
+
+
+def test_bridge_pitch_unions():
+    assert [set_class(r.pitch_union).forte_name for r in bridge_regions(G3)] == ["6-20"] * 4
+    assert [set_class(r.pitch_union).forte_name for r in bridge_regions(G4)] == ["8-28"] * 3
+    for r in bridge_regions(G6):
+        assert r.pitch_union == CHROMATIC
+        assert set_class(r.pitch_union).forte_name == "12-1"
+    # the four hexatonic unions are four different transpositions
+    assert len({r.pitch_union for r in bridge_regions(G3)}) == 4
 
 
 def test_polar_examples():
@@ -120,6 +147,26 @@ def test_excluded_bridge_pairs_are_the_poles():
                     if o.modality is not m.modality and o not in adj[m]
                 ]
                 assert non_neighbors == [polar(m)]
+
+
+def _nx_graph(region):
+    graph = nx.Graph()
+    graph.add_nodes_from(region.members)
+    graph.add_edges_from((e.a, e.b) for e in region.edges)
+    return graph
+
+
+def test_bridge_graph_shapes():
+    for r in bridge_regions(G3):
+        assert nx.is_isomorphic(_nx_graph(r), nx.cycle_graph(6))
+    cube = nx.hypercube_graph(3)
+    for r in bridge_regions(G4):
+        assert nx.is_isomorphic(_nx_graph(r), cube)
+    for r in bridge_regions(G6):
+        graph = _nx_graph(r)
+        assert graph.number_of_nodes() == 12
+        assert all(d == 5 for _, d in graph.degree)
+        assert nx.is_bipartite(graph)
 
 
 def test_cycle_counts_match_the_closed_form(bridge_cycle_oracle):
