@@ -7,6 +7,11 @@ its genus, displacing upward the (-) species:
     n=3:  augmented triad      -> major triad (+)        / minor triad (-)
     n=4:  diminished seventh   -> dominant seventh (+)   / half-diminished (-)
     n=6:  whole-tone scale     -> Wozzeck chord (+)      / mystic chord (-)
+
+The parent cell is arithmetic: perturbation commutes with transposition, so
+the displaced note lies one fixed offset per genus and modality above the root.
+Its oracle is ``verify``'s ``perturbation-roundtrip``, both ways against
+``perturb``, which names each chord through the pitch-class table.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from typing import NamedTuple
 
 from .errors import (
     ChordParseError,
-    InvariantViolationError,
     NotAMemberError,
     UnsupportedCardinalityError,
 )
@@ -241,21 +245,20 @@ def arthropod_collection(cell: Iterable[int]) -> tuple[Chord, ...]:
     return tuple(chords)
 
 
+# The note each chord's parent cell displaced, as an offset above the chord's
+# root: a (+) chord moved it down a semitone, a (-) chord up.
+_DISPLACED_NOTE: dict[tuple[int, Modality], int] = {
+    (3, Modality.PLUS): 8, (3, Modality.MINUS): 11,
+    (4, Modality.PLUS): 1, (4, Modality.MINUS): 9,
+    (6, Modality.PLUS): 2, (6, Modality.MINUS): 11,
+}
+
+
 @cache
 def parent_symmetric_cell(c: Chord) -> Perturbation:
-    """The unique cell, note, and direction whose perturbation reproduces c."""
-    s = c.pitch_classes()
-    found = []
-    for displaced in s:
-        # A down-perturbed note sits one semitone above its image, an
-        # up-perturbed note one below.
-        for delta, direction in ((1, Direction.DOWN), (-1, Direction.UP)):
-            note = (displaced + delta) % 12
-            candidate = (s - {displaced}) | {note}
-            if len(candidate) == len(s) and is_symmetric_cell(frozenset(candidate)):
-                found.append(Perturbation(frozenset(candidate), note, direction))
-    if len(found) != 1:
-        raise InvariantViolationError(
-            f"{c} should arise from exactly one perturbation, found {len(found)}"
-        )
-    return found[0]
+    """The unique cell, note, and direction whose perturbation reproduces c:
+    the note sits a fixed offset above c's root, in the partition cell through it."""
+    note = (c.root + _DISPLACED_NOTE[c.genus.n, c.modality]) % 12
+    step = 12 // c.genus.n
+    direction = Direction.DOWN if c.modality is Modality.PLUS else Direction.UP
+    return Perturbation(frozenset(range(note % step, 12, step)), note, direction)

@@ -141,10 +141,8 @@ def cmd_relate(args) -> int:
 def _selected_regions(args, g):
     kind = RegionKind(args.kind)
     if args.containing:
-        chord = parse_chord(args.containing, g)
-        return kind, [region_of(chord, kind)]
-    regions = arthropod_regions(g) if kind is RegionKind.ARTHROPOD else bridge_regions(g)
-    return kind, list(regions)
+        return [region_of(parse_chord(args.containing, g), kind)]
+    return list(arthropod_regions(g) if kind is RegionKind.ARTHROPOD else bridge_regions(g))
 
 
 def _region_header(region, flats: bool) -> str:
@@ -155,7 +153,7 @@ def _region_header(region, flats: bool) -> str:
 
 def cmd_region(args) -> int:
     g = genus(args.genus)
-    _, regions = _selected_regions(args, g)
+    regions = _selected_regions(args, g)
     flats = args.accidentals == "flats"
     if args.format == "json":
         _emit_json([region_to_dict(r, flats) for r in regions])
@@ -241,7 +239,7 @@ def cmd_cycles(args) -> int:
 
 def cmd_export(args) -> int:
     g = genus(args.genus)
-    _, regions = _selected_regions(args, g)
+    regions = _selected_regions(args, g)
     flats = args.accidentals == "flats"
     sys.stdout.write("".join(export_graph(r, args.format, flats) for r in regions))
     return EXIT_OK

@@ -6,6 +6,12 @@ slide edges per chord).  A bridge region collects both modalities over one
 cell of roots; its graph is complete bipartite minus the polar pairs, which
 share no pitch classes.  Each smooth cycle of a bridge region is listed once,
 read from its smallest chord toward its smaller neighbour.
+
+Both kinds come from one loop over the symmetric cells.  Edges are arithmetic
+on the catalog offsets: each (+) member's image under each token of the
+region's kinds.  Their oracles in ``verify`` are ``catalog-coverage`` (each
+chord's 2n images are the opposite-modality members of its two regions) and
+``region-degrees``.
 """
 
 from __future__ import annotations
@@ -21,14 +27,7 @@ from .chord import Chord, Genus, Modality, arthropod_collection, parent_symmetri
 from .errors import InvariantViolationError
 from .pcset import PcSet, set_class
 from .symmetry import symmetric_partition
-from .transform import (
-    Kind,
-    Transformation,
-    apply,
-    bridge_members,
-    catalog,
-    transformation_between,
-)
+from .transform import Kind, Transformation, apply, bridge_members, catalog
 from .voiceleading import VoiceLeading, vl_relation
 
 
@@ -76,17 +75,23 @@ class Region:
         return f"Region({self.family}_{self.id}, {len(self.members)} chords)"
 
 
+# The token kinds that label each region kind's edges; poles are not edges.
+_EDGE_KINDS = {
+    RegionKind.ARTHROPOD: frozenset({Kind.RELATIVE, Kind.ARTHROPOD_SLIDE}),
+    RegionKind.BRIDGE: frozenset({Kind.BRIDGE_SLIDE}),
+}
+
+
 def _labeled_edges(members: tuple[Chord, ...], allowed: frozenset[Kind]) -> tuple[Edge, ...]:
-    plus = [m for m in members if m.modality is Modality.PLUS]
-    minus = [m for m in members if m.modality is Modality.MINUS]
+    """Each (+) member's edge to its image under each catalog token of an
+    allowed kind; the image must be a member too."""
+    tokens = [t for t in catalog(members[0].genus) if t.kind in allowed]
     edges = []
-    for x in plus:
-        for y in minus:
-            t = transformation_between(x, y)
-            if t is None or t.kind not in allowed:
-                if t is not None and t.kind is Kind.POLAR:
-                    continue  # polar pairs carry no edge in bridge graphs
-                raise InvariantViolationError(f"no catalog edge between {x} and {y}")
+    for x in (m for m in members if m.modality is Modality.PLUS):
+        for t in tokens:
+            y = apply(t, x)
+            if y not in members:
+                raise InvariantViolationError(f"{t.token} sends {x} to {y}, outside its region")
             relation = vl_relation(x, y)
             assert relation is not None
             a, b = sorted((x, y), key=lambda c: c.sort_key)
@@ -102,44 +107,31 @@ def _pitch_union(members: tuple[Chord, ...]) -> PcSet:
     return union
 
 
+def _regions(g: Genus, kind: RegionKind) -> tuple[Region, ...]:
+    """One region per symmetric cell, numbered by the cell's smallest pitch
+    class: the cell's 2n perturbations for an arthropod region, both
+    modalities over the cell's roots for a bridge region."""
+    regions = []
+    for cell in symmetric_partition(g.n):
+        if kind is RegionKind.ARTHROPOD:
+            members = arthropod_collection(cell)
+        else:
+            members = bridge_members(Chord(g, min(cell), Modality.PLUS))
+        edges = _labeled_edges(members, _EDGE_KINDS[kind])
+        regions.append(Region(kind, g, min(cell), members, edges, _pitch_union(members)))
+    return tuple(regions)
+
+
 @cache
 def arthropod_regions(g: Genus) -> tuple[Region, ...]:
     """One region per symmetric cell: 4 waterbugs, 3 spiders, or 2 centipedes."""
-    allowed = frozenset({Kind.RELATIVE, Kind.ARTHROPOD_SLIDE})
-    regions = []
-    for cell in symmetric_partition(g.n):
-        members = arthropod_collection(cell)
-        regions.append(
-            Region(
-                RegionKind.ARTHROPOD,
-                g,
-                min(cell),
-                members,
-                _labeled_edges(members, allowed),
-                _pitch_union(members),
-            )
-        )
-    return tuple(regions)
+    return _regions(g, RegionKind.ARTHROPOD)
 
 
 @cache
 def bridge_regions(g: Genus) -> tuple[Region, ...]:
     """One region per root cell: 4 hexatonic, 3 octatonic, or 2 dodecatonic."""
-    allowed = frozenset({Kind.BRIDGE_SLIDE})
-    regions = []
-    for cell in symmetric_partition(g.n):
-        members = bridge_members(Chord(g, min(cell), Modality.PLUS))
-        regions.append(
-            Region(
-                RegionKind.BRIDGE,
-                g,
-                min(cell),
-                members,
-                _labeled_edges(members, allowed),
-                _pitch_union(members),
-            )
-        )
-    return tuple(regions)
+    return _regions(g, RegionKind.BRIDGE)
 
 
 def region_of(c: Chord, kind: RegionKind) -> Region:

@@ -5,7 +5,6 @@ import networkx as nx
 import pytest
 
 from nearsym.chord import Modality, all_chords, genus, parse_chord
-from nearsym.pcset import CHROMATIC, set_class
 from nearsym.region import (
     RegionKind,
     arthropod_regions,
@@ -75,16 +74,6 @@ def test_hexatonic_compass_aliases():
     assert all(r.alias is None for r in bridge_regions(G4))
 
 
-def test_bridge_pitch_unions():
-    assert [set_class(r.pitch_union).forte_name for r in bridge_regions(G3)] == ["6-20"] * 4
-    assert [set_class(r.pitch_union).forte_name for r in bridge_regions(G4)] == ["8-28"] * 3
-    for r in bridge_regions(G6):
-        assert r.pitch_union == CHROMATIC
-        assert set_class(r.pitch_union).forte_name == "12-1"
-    # the four hexatonic unions are four different transpositions
-    assert len({r.pitch_union for r in bridge_regions(G3)}) == 4
-
-
 def test_polar_examples():
     assert str(polar(parse_chord("C+", G4))) == "D#-"
     assert str(polar(parse_chord("C+", G6))) == "D-"
@@ -147,26 +136,6 @@ def test_excluded_bridge_pairs_are_the_poles():
                     if o.modality is not m.modality and o not in adj[m]
                 ]
                 assert non_neighbors == [polar(m)]
-
-
-def _nx_graph(region):
-    graph = nx.Graph()
-    graph.add_nodes_from(region.members)
-    graph.add_edges_from((e.a, e.b) for e in region.edges)
-    return graph
-
-
-def test_bridge_graph_shapes():
-    for r in bridge_regions(G3):
-        assert nx.is_isomorphic(_nx_graph(r), nx.cycle_graph(6))
-    cube = nx.hypercube_graph(3)
-    for r in bridge_regions(G4):
-        assert nx.is_isomorphic(_nx_graph(r), cube)
-    for r in bridge_regions(G6):
-        graph = _nx_graph(r)
-        assert graph.number_of_nodes() == 12
-        assert all(d == 5 for _, d in graph.degree)
-        assert nx.is_bipartite(graph)
 
 
 def test_cycle_counts_match_the_closed_form(bridge_cycle_oracle):
@@ -285,9 +254,3 @@ def test_json_export_schema():
 def test_export_rejects_unknown_format():
     with pytest.raises(ValueError):
         export_graph(bridge_regions(G3)[0], "yaml")
-
-
-def test_exports_are_deterministic():
-    region = region_of(parse_chord("C+", G4), RegionKind.BRIDGE)
-    assert export_graph(region, "dot") == export_graph(region, "dot")
-    assert export_graph(region, "json") == export_graph(region, "json")

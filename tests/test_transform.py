@@ -1,10 +1,11 @@
 import dataclasses
+import re
 
 import pytest
 
 from nearsym import region, transform
 from nearsym.chord import all_chords, genus, parent_symmetric_cell, parse_chord
-from nearsym.errors import GenusMismatchError, TokenParseError
+from nearsym.errors import GenusMismatchError, InvariantViolationError, TokenParseError
 from nearsym.transform import (
     Kind,
     apply,
@@ -190,25 +191,54 @@ def _clear_catalog_caches():
 
 
 @pytest.fixture
-def s_and_n_swapped(monkeypatch):
-    rows = {row[0]: row for row in transform._ROWS[3]}
-    s_row, n_row = rows["S"], rows["N"]
-    rows["S"] = (*s_row[:-1], n_row[-1])
-    rows["N"] = (*n_row[:-1], s_row[-1])
-    monkeypatch.setitem(transform._ROWS, 3, tuple(rows.values()))
-    _clear_catalog_caches()
-    yield
+def triad_offsets(monkeypatch):
+    """Gives the named n=3 tokens new root offsets, with cleared caches."""
+
+    def patch(**offsets):
+        rows = tuple((*row[:-1], offsets.get(row[0], row[-1])) for row in transform._ROWS[3])
+        monkeypatch.setitem(transform._ROWS, 3, rows)
+        _clear_catalog_caches()
+
+    yield patch
     monkeypatch.undo()
     _clear_catalog_caches()
 
 
-def test_slide_oracle_catches_a_wrong_offset(s_and_n_swapped):
+def _failed(n):
+    return {r.line() for r in run_checks(n) if not r.passed}
+
+
+def test_slide_oracle_catches_a_wrong_offset(triad_offsets):
     # S and N are both arthropod slides with P2,0 voice-leading, so swapping
     # their offsets keeps every other claim true; only the partition-and-shift
     # re-derivation can tell them apart.
+    triad_offsets(S=5, N=1)
     assert _apply("S", "C+", G3) == "F-"
-    failed = [r.line() for r in run_checks(3) if not r.passed]
-    assert failed == ["FAIL slide-labels [n=3]"]
+    assert _failed(3) == {"FAIL slide-labels [n=3]"}
+
+
+@pytest.mark.parametrize(
+    ("token", "offset", "builder", "culprit"),
+    [
+        # S given P's offset sends each (+) chord to its bridge-region partner
+        ("S", 0, region.arthropod_regions, "S sends E+ to E-"),
+        # P given S's offset sends each (+) chord to its arthropod-region partner
+        ("P", 1, region.bridge_regions, "P sends C+ to C#-"),
+    ],
+    ids=["arthropod", "bridge"],
+)
+def test_an_offset_leaving_its_region_stops_the_region_builder(
+    triad_offsets, token, offset, builder, culprit
+):
+    triad_offsets(**{token: offset})
+    with pytest.raises(InvariantViolationError, match=re.escape(f"{culprit}, outside its region")):
+        builder(G3)
+
+
+def test_two_tokens_with_one_offset_fail_degrees_and_coverage(triad_offsets):
+    # S given N's offset doubles each (+) chord's N edge and drops its S edge
+    triad_offsets(S=5)
+    assert {"FAIL region-degrees [n=3]", "FAIL catalog-coverage [n=3]"} <= _failed(3)
 
 
 def test_rebuilt_transformations_equal_and_hash_like_the_catalog():

@@ -4,12 +4,13 @@ The cycle-structure check fails on tampered enumerator ids and names the
 offending cycle and the rule it breaks; on honest ids it passes with an
 empty detail.  A region lookup that answers with the wrong region fails the
 partition checks, and a bridge graph with an edge too many, or with two
-edges switched to same-modality pairs, fails graph-shape."""
+edges switched to same-modality pairs, fails graph-shape.  A displaced-note
+offset one semitone off fails perturbation-roundtrip."""
 
 import pytest
 
 from nearsym import verify
-from nearsym.chord import genus, parse_chord
+from nearsym.chord import _DISPLACED_NOTE, genus, parent_symmetric_cell, parse_chord
 from nearsym.region import (
     RegionKind,
     arthropod_regions,
@@ -156,3 +157,25 @@ def test_a_tampered_bridge_graph_fails_graph_shape(monkeypatch, n, tamper):
 
     monkeypatch.setattr(verify, "adjacency", adjacency)
     assert f"FAIL graph-shape [n={n}]" in _failed(n)
+
+
+def _clear_parent_caches():
+    for cached in (parent_symmetric_cell, arthropod_regions, bridge_regions):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_parent_caches(monkeypatch):
+    _clear_parent_caches()
+    yield
+    monkeypatch.undo()
+    _clear_parent_caches()
+
+
+@pytest.mark.parametrize("entry", list(_DISPLACED_NOTE), ids=lambda entry: f"{entry[0]}{entry[1]}")
+def test_a_displaced_note_one_semitone_off_fails_the_roundtrip(
+    monkeypatch, fresh_parent_caches, entry
+):
+    monkeypatch.setitem(_DISPLACED_NOTE, entry, _DISPLACED_NOTE[entry] + 1)
+    n = entry[0]
+    assert f"FAIL perturbation-roundtrip [n={n}]" in _failed(n)
