@@ -7,6 +7,14 @@ cell of roots; its graph is complete bipartite minus the polar pairs, which
 share no pitch classes.  Each smooth cycle of a bridge region is listed once,
 read from its smallest chord toward its smaller neighbour.
 
+The cycle walk runs over integer ids in sort_key order.  Each id has a
+neighbour bitmask, and a ``free`` mask holds the unvisited ids above the
+path's start; a cached table per region size turns a mask into its ascending
+ids.  A path starts only where enough ids lie at or above it to make a
+cycle of the shortest length asked for, and its last vertex is read from one
+mask: free neighbours of the tail that close back to the start and exceed the
+path's second vertex.
+
 Both kinds come from one loop over the symmetric cells.  Edges are arithmetic
 on the catalog offsets: each (+) member's image under each token of the
 region's kinds.  Their oracles in ``verify`` are ``catalog-coverage`` (each
@@ -93,7 +101,10 @@ def _labeled_edges(members: tuple[Chord, ...], allowed: frozenset[Kind]) -> tupl
             if y not in members:
                 raise InvariantViolationError(f"{t.token} sends {x} to {y}, outside its region")
             relation = vl_relation(x, y)
-            assert relation is not None
+            if relation is None:
+                raise InvariantViolationError(
+                    f"{t.token} sends {x} to {y}, with no voice-leading between them"
+                )
             a, b = sorted((x, y), key=lambda c: c.sort_key)
             edges.append(Edge(a, b, t, relation))
     edges.sort(key=lambda e: (e.a.sort_key, e.b.sort_key))
@@ -176,6 +187,44 @@ class SmoothCycle:
         return _pitch_union(self.chords)
 
 
+@cache
+def _bit_lists(size: int) -> tuple[tuple[int, ...], ...]:
+    """Each mask below 2**size as the ascending tuple of its set bits."""
+    bits: list[tuple[int, ...]] = [()]
+    for mask in range(1, 1 << size):
+        high = mask.bit_length() - 1
+        bits.append(bits[mask ^ (1 << high)] + (high,))
+    return tuple(bits)
+
+
+def _extend(
+    path: list[int],
+    free: int,
+    nbm: list[int],
+    bits: tuple[tuple[int, ...], ...],
+    ends: int,
+    min_len: int,
+    max_len: int,
+    found: list[list[tuple[int, ...]]],
+) -> None:
+    """Appends to found[length] each cycle that extends `path` through free
+    ids and closes at `ends`.  A module-level function, not a closure that
+    calls itself: such a closure keeps each call's `found` in a reference
+    cycle until the collector runs."""
+    length = len(path) + 1
+    if length == max_len:
+        out = found[length]
+        for w in bits[nbm[path[-1]] & free & ends]:
+            out.append((*path, w))
+        return
+    for w in bits[nbm[path[-1]] & free]:
+        path.append(w)
+        if length >= min_len and ends >> w & 1:
+            found[length].append(tuple(path))
+        _extend(path, free ^ (1 << w), nbm, bits, ends, min_len, max_len, found)
+        path.pop()
+
+
 def smooth_cycle_ids(
     region: Region, min_len: int = 4, max_len: int | None = None
 ) -> tuple[tuple[Chord, ...], tuple[tuple[int, ...], ...]]:
@@ -195,32 +244,24 @@ def smooth_cycle_ids(
     chords = tuple(sorted(region.members, key=lambda c: c.sort_key))
     ids = {c: i for i, c in enumerate(chords)}
     adj = adjacency(region)
-    neighbours = [sorted(ids[n] for n in adj[c]) for c in chords]
+    nbm = [sum(1 << ids[n] for n in adj[c]) for c in chords]
+    bits = _bit_lists(size)
 
-    # Each path starts at its cycle's smallest vertex, so it walks only
-    # `above`, the neighbours larger than the start; `closes`, the start's
-    # own neighbours, says when the path can close.  Of the cycle's two
-    # readings, only the one with path[1] < path[-1] is emitted.  Starts and
-    # neighbours ascend, so each length's list fills in sorted order.
+    # Each path starts at its cycle's smallest vertex, so it walks only the
+    # `free` ids: unvisited and above the start.  A cycle of min_len ids needs
+    # that many at or above its start, which bounds the starts.  Of a cycle's
+    # two readings only the one with path[1] < path[-1] is emitted, so a path
+    # closes at `ends`: the start's neighbours above the second vertex.  A
+    # path one short of max_len takes its last vertex straight from that
+    # mask.  Starts and bit lists ascend, so each length's list fills in
+    # sorted order.
     found: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
-    for start in range(size):
-        above = [[m for m in nb if m > start] for nb in neighbours]
-        closes = set(neighbours[start])
-        path = [start]
-        stack = [iter(above[start])]
-        while stack:
-            nxt = next(stack[-1], None)
-            if nxt is None:
-                stack.pop()
-                path.pop()
-            elif nxt not in path:
-                path.append(nxt)
-                if len(path) >= min_len and nxt in closes and path[1] < nxt:
-                    found[len(path)].append(tuple(path))
-                if len(path) < max_len:
-                    stack.append(iter(above[nxt]))
-                else:
-                    path.pop()
+    for start in range(size - min_len + 1):
+        free = ((1 << size) - 1) & (-2 << start)
+        for second in bits[nbm[start] & free]:
+            ends = nbm[start] & (-2 << second)
+            path = [start, second]
+            _extend(path, free ^ (1 << second), nbm, bits, ends, min_len, max_len, found)
 
     return chords, tuple(chain.from_iterable(found))
 
