@@ -144,14 +144,16 @@ def _slide_images(t: Transformation, c: Chord) -> set[Chord]:
     return images
 
 
-def _cycle_checks(r: Region) -> tuple[bool, str]:
-    """(cycle-counts passed, cycle-structure failure) for one bridge region,
-    from a single enumeration that is dropped on return.  The failure is ""
-    when every cycle holds up, else the first offending cycle and the rule it
-    breaks."""
+def _cycle_checks(r: Region) -> tuple[str, str]:
+    """(cycle-counts failure, cycle-structure failure) for one bridge region,
+    from a single enumeration that is dropped on return.  Each is "" when its
+    claim holds; else the first names the region and the counts it found, the
+    second the first offending cycle and the rule it breaks."""
     chords, cycles = smooth_cycle_ids(r)
-    counts_ok = Counter(map(len, cycles)) == EXPECTED_CYCLE_COUNTS[r.genus.n]
-    return counts_ok, _cycle_structure(r, chords, cycles)
+    found = dict(sorted(Counter(map(len, cycles)).items()))
+    expected = EXPECTED_CYCLE_COUNTS[r.genus.n]
+    counts = "" if found == expected else f"{r.family} region {r.id}: found {found}, expected {expected}"
+    return counts, _cycle_structure(r, chords, cycles)
 
 
 def _cycle_structure(
@@ -407,9 +409,9 @@ def _genus_checks(n: int, results: list[CheckResult]) -> None:
     add("graph-shape", ok)
 
     cycle_results = [_cycle_checks(r) for r in bridge_regions(g)]
-    add("cycle-counts", all(counts for counts, _ in cycle_results), f"expected {EXPECTED_CYCLE_COUNTS[n]}")
-    failure = next((failure for _, failure in cycle_results if failure), "")
-    add("cycle-structure", not failure, failure)
+    counts, structure = (next(filter(None, failures), "") for failures in zip(*cycle_results))
+    add("cycle-counts", not counts, counts or f"expected {EXPECTED_CYCLE_COUNTS[n]}")
+    add("cycle-structure", not structure, structure)
 
     comp = complementarity_pairs(g)
     slides = {t.token for t in cat if t.kind in (Kind.ARTHROPOD_SLIDE, Kind.BRIDGE_SLIDE)}

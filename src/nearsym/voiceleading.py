@@ -4,7 +4,10 @@ Two chords are related by moving m voices a semitone and n voices a whole
 tone when some bijection between their pitch-class sets moves every voice by
 at most two semitones (circular distance).  The reported pair is the most
 parsimonious reading: minimal total displacement, then as few whole-tone
-moves as possible.
+moves as possible.  Uncrossing voices never lengthens a voice-leading
+(Tymoczko, Science 313, 2006), so only the n cyclic shifts of the sorted
+sets are read; verify's exhaustive check over all 1,728 same-genus pairs is
+what proves the tie-break falls among them too.
 """
 
 from __future__ import annotations
@@ -33,31 +36,22 @@ def _step(a: int, b: int) -> int:
 @cache
 def vl_relation(x: Chord, y: Chord) -> VoiceLeading | None:
     """The most parsimonious voice-leading between x and y, or None when
-    every bijection would move some voice more than a whole tone."""
+    every bijection would move some voice more than a whole tone.  Reads
+    only the cyclic shifts of y's sorted pitch classes against x's; verify's
+    exhaustive check over all 1,728 pairs proves that enough here."""
     if x.genus != y.genus:
         raise GenusMismatchError(f"cannot relate {x} (n={x.genus.n}) to {y} (n={y.genus.n})")
     src = sorted(x.pitch_classes())
     dst = sorted(y.pitch_classes())
-    n = len(src)
-    best: list[tuple[int, int] | None] = [None]
-
-    def assign(i: int, used: int, total: int, wholes: int) -> None:
-        if best[0] is not None and (total, wholes) >= best[0]:
-            return
-        if i == n:
-            best[0] = (total, wholes)
-            return
-        for j in range(n):
-            if used & (1 << j):
-                continue
-            d = _step(src[i], dst[j])
-            if d <= 2:
-                assign(i + 1, used | (1 << j), total + d, wholes + (d == 2))
-
-    assign(0, 0, 0, 0)
-    if best[0] is None:
+    best = None
+    for k in range(len(dst)):
+        steps = list(map(_step, src, dst[k:] + dst[:k]))
+        key = (sum(steps), steps.count(2))
+        if max(steps) <= 2 and (best is None or key < best):
+            best = key
+    if best is None:
         return None
-    total, wholes = best[0]
+    total, wholes = best
     return VoiceLeading(total - 2 * wholes, wholes)
 
 

@@ -28,10 +28,6 @@ from nearsym.symmetry import symmetric_partition
 G3, G4, G6 = genus(3), genus(4), genus(6)
 
 
-def chords(g, *names):
-    return {parse_chord(name, g) for name in names}
-
-
 def test_genus_lookup():
     assert G3.plus_name == "major triad"
     assert G4.minus_name == "half-diminished seventh"
@@ -105,26 +101,6 @@ def test_perturb_rejects_bad_input():
         perturb({8, 0, 4}, 1, "down")  # note outside the cell
     with pytest.raises(ValueError):
         perturb({0, 4, 7}, 0, "down")  # not a symmetric cell
-
-
-def test_weitzmann_region_members():
-    assert set(arthropod_collection({8, 0, 4})) == chords(
-        G3, "C+", "A-", "E+", "C#-", "G#+", "F-"
-    )
-
-
-def test_centipede_members():
-    assert set(arthropod_collection({0, 2, 4, 6, 8, 10})) == chords(
-        G6, "A#+", "C#-", "D+", "F-", "F#+", "A-", "G#+", "B-", "C+", "D#-", "E+", "G-"
-    )
-
-
-def test_boretz_region_members():
-    # Perturbing A# upward gives {C#, E, G, B}, whose semitone-matched
-    # template root is C#, so the eighth member is C#- (not C-).
-    assert set(arthropod_collection({1, 4, 7, 10})) == chords(
-        G4, "C+", "E-", "D#+", "G-", "F#+", "A#-", "A+", "C#-"
-    )
 
 
 def test_arthropod_collections_partition_each_genus():

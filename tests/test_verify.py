@@ -2,10 +2,11 @@
 
 The cycle-structure check fails on tampered enumerator ids and names the
 offending cycle and the rule it breaks; on honest ids it passes with an
-empty detail.  A region lookup that answers with the wrong region fails the
-partition checks, and a bridge graph with an edge too many, or with two
-edges switched to same-modality pairs, fails graph-shape.  A displaced-note
-offset one semitone off fails perturbation-roundtrip."""
+empty detail.  Missing cycles fail cycle-counts, which names the region and
+the counts it found.  A region lookup that answers with the wrong region
+fails the partition checks, and a bridge graph with an edge too many, or
+with two edges switched to same-modality pairs, fails graph-shape.  A
+displaced-note offset one semitone off fails perturbation-roundtrip."""
 
 import pytest
 
@@ -72,7 +73,7 @@ def test_cycle_structure_passes_on_the_enumerator_output(monkeypatch):
     assert len(CYCLES[K]) == 4
     assert A.modality is C.modality is not B.modality is D.modality
     _enumerate_as(monkeypatch, CYCLES)
-    assert verify._cycle_checks(REGION) == (True, "")
+    assert verify._cycle_checks(REGION) == ("", "")
 
 
 @pytest.mark.parametrize("tamper", TAMPERS)
@@ -88,12 +89,21 @@ def test_a_tampered_region_fails_only_its_claims_in_the_report(monkeypatch):
     assert _failed(6) == [f"FAIL cycle-structure [n=6]: {detail}"]
 
 
+def test_missing_cycles_fail_cycle_counts_naming_the_region_and_its_counts(monkeypatch):
+    cycles, _ = TAMPERS["no full-length cycle"]
+    _enumerate_as(monkeypatch, cycles)
+    expected = verify.EXPECTED_CYCLE_COUNTS[6]
+    found = {length: count for length, count in expected.items() if length < 12}
+    detail = f"dodecatonic region 0: found {found}, expected {expected}"
+    assert f"FAIL cycle-counts [n=6]: {detail}" in _failed(6)
+
+
 def test_ids_that_do_not_number_the_region_fail_cycle_structure(monkeypatch):
     outsider = bridge_regions(genus(6))[1].members[0]
     chords = (outsider,) + CHORDS[1:]
     monkeypatch.setattr(verify, "smooth_cycle_ids", lambda r: (chords, CYCLES))
     detail = "dodecatonic region 0: the cycle ids do not number its members"
-    assert verify._cycle_checks(REGION) == (True, detail)
+    assert verify._cycle_checks(REGION) == ("", detail)
 
 
 def test_a_region_lookup_one_region_off_fails_both_partitions(monkeypatch):
