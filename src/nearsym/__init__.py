@@ -76,6 +76,6 @@ from .transform import (
     transformation_between,
 )
 from .verify import CheckResult, run_checks
-from .voiceleading import VoiceLeading, ssd_neighbors, vl_relation
+from .voiceleading import VoiceLeading, catalog_relation, ssd_neighbors, vl_relation
 
 __version__ = "0.1.0"

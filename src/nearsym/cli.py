@@ -40,7 +40,7 @@ from .symmetry import symmetric_partition
 from .transform import apply as apply_transformation
 from .transform import transformation, transformation_between
 from .verify import run_checks
-from .voiceleading import vl_relation
+from .voiceleading import catalog_relation, vl_relation
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -87,7 +87,7 @@ def cmd_apply(args) -> int:
     current = chord
     for t in sequence:
         nxt = apply_transformation(t, current)
-        steps.append((current, t, nxt, vl_relation(current, nxt)))
+        steps.append((current, t, nxt, catalog_relation(t)))
         current = nxt
     if args.format == "json":
         _emit_json(
@@ -97,7 +97,7 @@ def cmd_apply(args) -> int:
                     {
                         "transform": t.token,
                         "result": nxt.name(flats),
-                        "relation": list(rel) if rel else None,
+                        "relation": list(rel),
                     }
                     for _, t, nxt, rel in steps
                 ],
@@ -107,8 +107,7 @@ def cmd_apply(args) -> int:
         return EXIT_OK
     if args.trace:
         for prev, t, nxt, rel in steps:
-            label = rel.label if rel else "none"
-            print(f"{prev.name(flats)} -{t.token}-> {nxt.name(flats)} [{label}]")
+            print(f"{prev.name(flats)} -{t.token}-> {nxt.name(flats)} [{rel.label}]")
     print(current.name(flats))
     return EXIT_OK
 

@@ -17,9 +17,11 @@ path's second vertex.
 
 Both kinds come from one loop over the symmetric cells.  Edges are arithmetic
 on the catalog offsets: each (+) member's image under each token of the
-region's kinds.  Their oracles in ``verify`` are ``catalog-coverage`` (each
-chord's 2n images are the opposite-modality members of its two regions) and
-``region-degrees``.
+region's kinds, labelled with its kind's relation (``catalog_relation``:
+relative P0,1, arthropod slide P2,0, bridge slide P(n-2),0).  Their oracles
+in ``verify`` are ``catalog-coverage`` (each chord's 2n images are the
+opposite-modality members of its two regions), ``region-degrees`` and
+``relation-conformance``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import InvariantViolationError
 from .pcset import PcSet, set_class
 from .symmetry import symmetric_partition
 from .transform import Kind, Transformation, apply, bridge_members, catalog
-from .voiceleading import VoiceLeading, vl_relation
+from .voiceleading import VoiceLeading, catalog_relation
 
 
 class RegionKind(Enum):
@@ -100,13 +102,8 @@ def _labeled_edges(members: tuple[Chord, ...], allowed: frozenset[Kind]) -> tupl
             y = apply(t, x)
             if y not in members:
                 raise InvariantViolationError(f"{t.token} sends {x} to {y}, outside its region")
-            relation = vl_relation(x, y)
-            if relation is None:
-                raise InvariantViolationError(
-                    f"{t.token} sends {x} to {y}, with no voice-leading between them"
-                )
             a, b = sorted((x, y), key=lambda c: c.sort_key)
-            edges.append(Edge(a, b, t, relation))
+            edges.append(Edge(a, b, t, catalog_relation(t)))
     edges.sort(key=lambda e: (e.a.sort_key, e.b.sort_key))
     return tuple(edges)
 

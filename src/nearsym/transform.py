@@ -12,6 +12,9 @@ Every transformation swaps modality and is its own inverse.  Four kinds:
 * polar (H, O, Z): the opposite-modality chord in the same bridge region
   sharing no pitch classes.
 
+Each kind has one voice-leading, ``voiceleading.catalog_relation``: relative
+P0,1, arthropod slide P2,0, bridge slide P(n-2),0, pole P(n),0.
+
 Slide parts are named by what is held and what moves: an interval class
 (1..6) for a dyad, or W / A / F for the three tetrad classes found inside
 hexachords (whole-tone tetramirror [0,2,4,6], augmented seventh [0,2,4,8],

@@ -60,7 +60,7 @@ from .transform import (
     catalog,
     transformation_between,
 )
-from .voiceleading import VoiceLeading, vl_relation
+from .voiceleading import VoiceLeading, catalog_relation, vl_relation
 
 # Simple-cycle counts of the bridge graphs, keyed by cycle length.  Each
 # bridge graph is a crown graph, K(n,n) minus a perfect matching, whose
@@ -330,16 +330,9 @@ def _genus_checks(n: int, results: list[CheckResult]) -> None:
     for t in cat:
         for c in chords:
             image = apply(t, c)
-            if t.kind is Kind.RELATIVE:
-                ok = ok and vl_relation(c, image) == VoiceLeading(0, 1)
-            elif t.kind is Kind.ARTHROPOD_SLIDE:
-                ok = ok and vl_relation(c, image) == VoiceLeading(2, 0)
-            elif t.kind is Kind.BRIDGE_SLIDE:
-                ok = ok and vl_relation(c, image) == VoiceLeading(n - 2, 0)
-            else:
+            ok = ok and vl_relation(c, image) == catalog_relation(t)
+            if t.kind is Kind.POLAR:
                 ok = ok and not (c.pitch_classes() & image.pitch_classes())
-                if n == 3:
-                    ok = ok and vl_relation(c, image) == VoiceLeading(3, 0)
     add("relation-conformance", ok)
 
     ok = True

@@ -8,6 +8,9 @@ moves as possible.  Uncrossing voices never lengthens a voice-leading
 (Tymoczko, Science 313, 2006), so only the n cyclic shifts of the sorted
 sets are read; verify's exhaustive check over all 1,728 same-genus pairs is
 what proves the tie-break falls among them too.
+
+Each catalog kind moves the voices by one relation of n, ``catalog_relation``:
+relative P0,1, arthropod slide P2,0, bridge slide P(n-2),0, pole P(n),0.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .chord import Chord, find_chord
+from .chord import Chord
 from .errors import GenusMismatchError
+from .transform import Kind, Transformation, apply, catalog
 
 
 class VoiceLeading(NamedTuple):
@@ -26,6 +30,18 @@ class VoiceLeading(NamedTuple):
     @property
     def label(self) -> str:
         return f"P{self.semitones},{self.whole_tones}"
+
+
+@cache
+def catalog_relation(t: Transformation) -> VoiceLeading:
+    """The voice-leading from every chord to its image under t, read from
+    t's kind; verify's relation-conformance checks it with vl_relation."""
+    return {
+        Kind.RELATIVE: VoiceLeading(0, 1),
+        Kind.ARTHROPOD_SLIDE: VoiceLeading(2, 0),
+        Kind.BRIDGE_SLIDE: VoiceLeading(t.genus.n - 2, 0),
+        Kind.POLAR: VoiceLeading(t.genus.n, 0),
+    }[t.kind]
 
 
 def _step(a: int, b: int) -> int:
@@ -56,15 +72,7 @@ def vl_relation(x: Chord, y: Chord) -> VoiceLeading | None:
 
 
 def ssd_neighbors(x: Chord) -> tuple[Chord, ...]:
-    """Same-genus chords reachable by moving exactly one voice one semitone."""
-    s = x.pitch_classes()
-    neighbors = set()
-    for p in s:
-        for delta in (1, -1):
-            candidate = (s - {p}) | {(p + delta) % 12}
-            if len(candidate) != len(s):
-                continue
-            c = find_chord(candidate, x.genus)
-            if c is not None:
-                neighbors.add(c)
-    return tuple(sorted(neighbors, key=lambda c: c.sort_key))
+    """Same-genus chords reachable by moving exactly one voice one semitone:
+    x's images under the P1,0 tokens, the triad bridge slides P and L."""
+    images = (apply(t, x) for t in catalog(x.genus) if catalog_relation(t) == (1, 0))
+    return tuple(sorted(images, key=lambda c: c.sort_key))

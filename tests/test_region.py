@@ -1,13 +1,11 @@
 import gc
 import json
-import re
 from collections import Counter
 
 import networkx as nx
 import pytest
 
 from nearsym.chord import all_chords, genus, parse_chord
-from nearsym.errors import InvariantViolationError
 from nearsym.region import (
     RegionKind,
     arthropod_regions,
@@ -21,13 +19,16 @@ from nearsym.region import (
     smooth_cycle_ids,
 )
 from nearsym.transform import Kind, apply, transformation, transformation_between
-from nearsym.verify import EXPECTED_CYCLE_COUNTS
-from nearsym.voiceleading import vl_relation
+from nearsym.verify import EXPECTED_CYCLE_COUNTS, run_checks
+from nearsym.voiceleading import catalog_relation, vl_relation
 
+from golden_library import GOLDEN as GOLDEN_LIBRARY
+from golden_library import digest
 from oracles import crown_cycle_counts, crown_hamiltonian_cycles
 
 G3, G4, G6 = genus(3), genus(4), genus(6)
 ALL_GENERA = (G3, G4, G6)
+RECORDED_LIBRARY = json.loads(GOLDEN_LIBRARY.read_text(encoding="utf-8"))
 
 
 def chords(g, *names):
@@ -64,7 +65,7 @@ def test_hexatonic_compass_aliases():
 
 
 def _clear_region_caches():
-    for cached in (arthropod_regions, bridge_regions):
+    for cached in (arthropod_regions, bridge_regions, catalog_relation):
         cached.cache_clear()
 
 
@@ -77,16 +78,27 @@ def fresh_region_caches(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("builder", "culprit"),
-    [(arthropod_regions, "R sends E+ to C#-"), (bridge_regions, "P sends C+ to C-")],
-    ids=["arthropod", "bridge"],
+    "kind", [Kind.RELATIVE, Kind.ARTHROPOD_SLIDE, Kind.BRIDGE_SLIDE], ids=lambda k: k.value
 )
-def test_an_edge_without_a_voice_leading_stops_the_region_builder(
-    monkeypatch, fresh_region_caches, builder, culprit
+def test_a_wrong_kind_relation_fails_conformance_and_changes_the_region_digest(
+    monkeypatch, fresh_region_caches, kind
 ):
-    monkeypatch.setattr("nearsym.region.vl_relation", lambda x, y: None)
-    with pytest.raises(InvariantViolationError, match=re.escape(f"{culprit}, with no voice-leading")):
-        builder(G3)
+    # One more voice moved a semitone than the paper says, e.g. bridge slides
+    # labelled P(n-1),0: every edge of that kind carries the wrong label.
+    real = catalog_relation
+
+    def wrong(t):
+        right = real(t)
+        return right._replace(semitones=right.semitones + 1) if t.kind is kind else right
+
+    for module in ("voiceleading", "region", "verify"):
+        monkeypatch.setattr(f"nearsym.{module}.catalog_relation", wrong)
+    # n=6 is left out for time: its verify run enumerates 33,352 cycles.
+    for n in (3, 4):
+        assert f"FAIL relation-conformance [n={n}]" in [
+            r.line() for r in run_checks(n) if not r.passed
+        ]
+    assert digest("region_of") != RECORDED_LIBRARY["region_of"]
 
 
 def test_polar_examples():
@@ -138,7 +150,7 @@ def test_edges_cross_modalities_and_carry_consistent_labels():
             for e in r.edges:
                 assert e.a.modality is not e.b.modality
                 assert transformation_between(e.a, e.b) == e.transformation
-                assert e.relation is not None
+                assert e.relation == vl_relation(e.a, e.b)
 
 
 def test_cycle_counts_match_the_closed_form(bridge_cycle_oracle):

@@ -17,7 +17,7 @@ from nearsym.transform import (
     transformation_between,
 )
 from nearsym.verify import run_checks
-from nearsym.voiceleading import VoiceLeading, vl_relation
+from nearsym.voiceleading import VoiceLeading, catalog_relation, vl_relation
 
 G3, G4, G6 = genus(3), genus(4), genus(6)
 ALL_GENERA = (G3, G4, G6)
@@ -105,8 +105,22 @@ def test_every_transformation_swaps_modality():
                 assert apply(t, c).modality is not c.modality
 
 
+# Each token's voice-leading as the paper states it, (semitones, whole tones):
+# relatives move one voice a whole tone, arthropod slides two voices a
+# semitone, bridge slides n-2 voices a semitone, poles all n voices.
+PAPER_RELATIONS = {
+    3: {"R": (0, 1), "S": (2, 0), "N": (2, 0), "P": (1, 0), "L": (1, 0), "H": (3, 0)},
+    4: {"R*": (0, 1), "S3(4)": (2, 0), "S3(2)": (2, 0), "S6": (2, 0),
+        "S2": (2, 0), "S4": (2, 0), "S5": (2, 0), "O": (4, 0)},
+    6: {"R**": (0, 1), "SA(3)": (2, 0), "SA(5)": (2, 0), "SF": (2, 0), "SW(1)": (2, 0),
+        "SW(3)": (2, 0), "S1": (4, 0), "S3(A)": (4, 0), "S3(W)": (4, 0), "S5(A)": (4, 0),
+        "S5(F)": (4, 0), "Z": (6, 0)},
+}
+
+
 def test_relation_conformance():
     for g in ALL_GENERA:
+        assert {t.token: catalog_relation(t) for t in catalog(g)} == PAPER_RELATIONS[g.n]
         for t in catalog(g):
             for c in all_chords(g):
                 image = apply(t, c)
@@ -117,10 +131,9 @@ def test_relation_conformance():
                 elif t.kind is Kind.BRIDGE_SLIDE:
                     assert vl_relation(c, image) == VoiceLeading(g.n - 2, 0)
                 else:
+                    # poles move every voice a semitone onto a disjoint chord
                     assert not (c.pitch_classes() & image.pitch_classes())
-    # triad poles additionally move all three voices by semitone
-    for c in all_chords(G3):
-        assert vl_relation(c, apply(transformation("H", G3), c)) == VoiceLeading(3, 0)
+                    assert vl_relation(c, image) == VoiceLeading(g.n, 0)
 
 
 def test_region_closure():

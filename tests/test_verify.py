@@ -8,6 +8,8 @@ fails the partition checks, and a bridge graph with an edge too many, or
 with two edges switched to same-modality pairs, fails graph-shape.  A
 displaced-note offset one semitone off fails perturbation-roundtrip."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from nearsym import verify
@@ -21,47 +23,60 @@ from nearsym.region import (
     smooth_cycle_ids,
 )
 
-REGION = bridge_regions(genus(6))[0]
-CHORDS, CYCLES = smooth_cycle_ids(REGION)
 K = 50  # a 4-cycle in the middle of the 90 four-chord cycles
-a, b, c, d = CYCLES[K]  # a, c share a modality; b, d the other
-A, B, C, D = (CHORDS[v] for v in CYCLES[K])
-p = CHORDS.index(polar(A))
+TAMPER_NAMES = (
+    "non-edge hop", "repeated chord", "same-modality neighbours", "no full-length cycle"
+)
 
 
 def _names(*chords):
     return " ".join(ch.name() for ch in chords)
 
 
-def _replace_kth(*ids):
-    return CYCLES[:K] + (ids,) + CYCLES[K + 1 :]
+@pytest.fixture(scope="module")
+def dodecatonic():
+    """Dodecatonic region 0, its enumerated cycle ids, the K-th cycle's
+    chords, and each tamper as tamper -> (enumerator ids, expected
+    cycle-structure detail).  Built on first use, not at import, so a library
+    that cannot build the region fails these tests by name."""
+    region = bridge_regions(genus(6))[0]
+    chords, cycles = smooth_cycle_ids(region)
+    a, b, c, d = cycles[K]  # a, c share a modality; b, d the other
+    A, B, C, D = (chords[v] for v in cycles[K])
+    p = chords.index(polar(A))
+
+    def replace_kth(*ids):
+        return cycles[:K] + (ids,) + cycles[K + 1 :]
+
+    tampers = {
+        "non-edge hop": (
+            replace_kth(a, p, c, d),
+            f"cycle {_names(A, polar(A), C, D)}: {A} -> {polar(A)} is not an edge",
+        ),
+        "repeated chord": (
+            replace_kth(a, b, a, d),
+            f"cycle {_names(A, B, A, D)}: {A} repeats",
+        ),
+        "same-modality neighbours": (
+            replace_kth(a, b, d, c),
+            f"cycle {_names(A, B, D, C)}: {C} -> {A} keeps the modality",
+        ),
+        "no full-length cycle": (
+            tuple(cyc for cyc in cycles if len(cyc) < 12),
+            "dodecatonic region 0 has no cycle of length 12",
+        ),
+    }
+    assert tuple(tampers) == TAMPER_NAMES
+    return SimpleNamespace(
+        region=region, chords=chords, cycles=cycles, kth=(A, B, C, D), tampers=tampers
+    )
 
 
-# tamper -> (enumerator ids, expected cycle-structure detail)
-TAMPERS = {
-    "non-edge hop": (
-        _replace_kth(a, p, c, d),
-        f"cycle {_names(A, polar(A), C, D)}: {A} -> {polar(A)} is not an edge",
-    ),
-    "repeated chord": (
-        _replace_kth(a, b, a, d),
-        f"cycle {_names(A, B, A, D)}: {A} repeats",
-    ),
-    "same-modality neighbours": (
-        _replace_kth(a, b, d, c),
-        f"cycle {_names(A, B, D, C)}: {C} -> {A} keeps the modality",
-    ),
-    "no full-length cycle": (
-        tuple(cyc for cyc in CYCLES if len(cyc) < 12),
-        "dodecatonic region 0 has no cycle of length 12",
-    ),
-}
-
-
-def _enumerate_as(monkeypatch, cycles):
+def _enumerate_as(monkeypatch, dodecatonic, cycles):
     real = smooth_cycle_ids
+    region, chords = dodecatonic.region, dodecatonic.chords
     monkeypatch.setattr(
-        verify, "smooth_cycle_ids", lambda r: (CHORDS, cycles) if r == REGION else real(r)
+        verify, "smooth_cycle_ids", lambda r: (chords, cycles) if r == region else real(r)
     )
 
 
@@ -69,41 +84,44 @@ def _failed(n):
     return [r.line() for r in verify.run_checks(n) if not r.passed]
 
 
-def test_cycle_structure_passes_on_the_enumerator_output(monkeypatch):
-    assert len(CYCLES[K]) == 4
+def test_cycle_structure_passes_on_the_enumerator_output(monkeypatch, dodecatonic):
+    A, B, C, D = dodecatonic.kth
+    assert len(dodecatonic.cycles[K]) == 4
     assert A.modality is C.modality is not B.modality is D.modality
-    _enumerate_as(monkeypatch, CYCLES)
-    assert verify._cycle_checks(REGION) == ("", "")
+    _enumerate_as(monkeypatch, dodecatonic, dodecatonic.cycles)
+    assert verify._cycle_checks(dodecatonic.region) == ("", "")
 
 
-@pytest.mark.parametrize("tamper", TAMPERS)
-def test_cycle_structure_names_the_tampered_cycle(monkeypatch, tamper):
-    cycles, detail = TAMPERS[tamper]
-    _enumerate_as(monkeypatch, cycles)
-    assert verify._cycle_checks(REGION)[1] == detail
+@pytest.mark.parametrize("tamper", TAMPER_NAMES)
+def test_cycle_structure_names_the_tampered_cycle(monkeypatch, dodecatonic, tamper):
+    cycles, detail = dodecatonic.tampers[tamper]
+    _enumerate_as(monkeypatch, dodecatonic, cycles)
+    assert verify._cycle_checks(dodecatonic.region)[1] == detail
 
 
-def test_a_tampered_region_fails_only_its_claims_in_the_report(monkeypatch):
-    cycles, detail = TAMPERS["non-edge hop"]
-    _enumerate_as(monkeypatch, cycles)
+def test_a_tampered_region_fails_only_its_claims_in_the_report(monkeypatch, dodecatonic):
+    cycles, detail = dodecatonic.tampers["non-edge hop"]
+    _enumerate_as(monkeypatch, dodecatonic, cycles)
     assert _failed(6) == [f"FAIL cycle-structure [n=6]: {detail}"]
 
 
-def test_missing_cycles_fail_cycle_counts_naming_the_region_and_its_counts(monkeypatch):
-    cycles, _ = TAMPERS["no full-length cycle"]
-    _enumerate_as(monkeypatch, cycles)
+def test_missing_cycles_fail_cycle_counts_naming_the_region_and_its_counts(
+    monkeypatch, dodecatonic
+):
+    cycles, _ = dodecatonic.tampers["no full-length cycle"]
+    _enumerate_as(monkeypatch, dodecatonic, cycles)
     expected = verify.EXPECTED_CYCLE_COUNTS[6]
     found = {length: count for length, count in expected.items() if length < 12}
     detail = f"dodecatonic region 0: found {found}, expected {expected}"
     assert f"FAIL cycle-counts [n=6]: {detail}" in _failed(6)
 
 
-def test_ids_that_do_not_number_the_region_fail_cycle_structure(monkeypatch):
+def test_ids_that_do_not_number_the_region_fail_cycle_structure(monkeypatch, dodecatonic):
     outsider = bridge_regions(genus(6))[1].members[0]
-    chords = (outsider,) + CHORDS[1:]
-    monkeypatch.setattr(verify, "smooth_cycle_ids", lambda r: (chords, CYCLES))
+    chords = (outsider,) + dodecatonic.chords[1:]
+    monkeypatch.setattr(verify, "smooth_cycle_ids", lambda r: (chords, dodecatonic.cycles))
     detail = "dodecatonic region 0: the cycle ids do not number its members"
-    assert verify._cycle_checks(REGION) == ("", detail)
+    assert verify._cycle_checks(dodecatonic.region) == ("", detail)
 
 
 def test_a_region_lookup_one_region_off_fails_both_partitions(monkeypatch):
