@@ -4,6 +4,11 @@ Pitch classes are plain integers 0..11 (C=0, C#=1, ..., B=11) and a
 pitch-class set is a ``frozenset`` of them.  All operations normalize their
 inputs mod 12, so callers may pass arbitrary integers.
 
+``prime_form`` works on the set as a 12-bit mask (bit i for pitch class i):
+a rotation of the set is a bit rotation of the mask, and the rotation's
+highest bit is its packing span.  It builds no table, so importing the module
+and its first call cost nothing extra.
+
 ``set_class`` is memoised per normalised set (at most 4,095 keys), so
 labelling every cycle a region emits costs one ``prime_form`` search per
 distinct union.  ``prime_form`` itself stays uncached: ``verify`` checks it
@@ -83,26 +88,37 @@ def prime_form(s: Iterable[int]) -> tuple[int, ...]:
     """Most compact, lexicographically smallest zero-based ordering over all
     rotations of the set and of its inversion.
 
-    Exhaustive search over the 24 candidates; at cardinality 12 or below the
+    Exhaustive over the 24 candidates, each a rotation of the set's 12-bit
+    mask or of its inversion's that puts a member at bit 0.  Every candidate
+    has the same size, so among those with the least span (the highest bit)
+    the lexicographically smaller sorted tuple is the one that holds the
+    lowest bit where two candidates differ.  At cardinality 12 or below the
     Forte and Rahn packing conventions agree for every class this library
-    touches.
+    touches.  Uncached, as the module docstring explains.
 
     >>> prime_form({0, 4, 7})
     (0, 3, 7)
     >>> prime_form({0, 3, 4, 7, 8, 11})
     (0, 1, 4, 5, 8, 9)
+    >>> prime_form([-1, 14, 19])
+    (0, 3, 7)
     """
-    members = pcset(s)
-    if not members:
+    mask = inverse = 0
+    for v in s:
+        mask |= 1 << v % 12
+        inverse |= 1 << -v % 12
+    if not mask:
         raise ValueError("prime form of the empty set is undefined")
-    best = None
-    for form in (sorted(members), sorted(invert(members))):
-        for i, first in enumerate(form):
-            zeroed = tuple([(v - first) % 12 for v in form[i:] + form[:i]])
-            candidate = (zeroed[-1], zeroed)
-            if best is None or candidate < best:
-                best = candidate
-    return best[1]
+    best, span = 0, 13
+    for form in (mask, inverse):
+        double = form | form << 12
+        for first in range(12):
+            if form >> first & 1:
+                rotated = double >> first & 0xFFF
+                n = rotated.bit_length()
+                if n < span or n == span and (d := rotated ^ best) & -d & rotated:
+                    best, span = rotated, n
+    return tuple([i for i in range(span) if best >> i & 1])
 
 
 def set_class(s: Iterable[int]) -> SetClass:

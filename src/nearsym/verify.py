@@ -7,6 +7,12 @@ library implementations to naive re-derivations kept deliberately separate
 from the code paths they confirm; slide-labels re-derives the catalog's root
 offsets from the partition-and-shift definition of each slide.
 
+vl-oracle-agreement's re-derivation, ``_naive_vl``, walks every bijection
+between the two chords whose steps are all at most a whole tone, and shares
+nothing with the cyclic shifts ``vl_relation`` reads.  A bijection with a
+step over two semitones is no voice-leading, so nothing the walk prunes can
+be the answer: the search stays exhaustive.
+
 graph-shape checks one rule for every genus: each bridge graph is the crown
 graph, K(n,n) minus a perfect matching, with the two modalities as its sides
 (the missing matching is the polar pairs, which share no pitch class).  The
@@ -19,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import gcd
 
 from .chord import (
@@ -93,23 +99,39 @@ class CheckResult:
 
 
 def _naive_vl(x: Chord, y: Chord) -> VoiceLeading | None:
-    """Reference voice-leading search: scan every bijection outright."""
-    src = sorted(x.pitch_classes())
-    best = None
-    for image in permutations(sorted(y.pitch_classes())):
-        semis = wholes = 0
-        for a, b in zip(src, image):
+    """Reference voice-leading search: a depth-first walk over every
+    bijection from x's pitch classes to y's that moves each voice at most a
+    whole tone, keeping the least (total displacement, whole tones).
+
+    A bijection with a longer step is no voice-leading at all, so each voice
+    tries only the unused targets within a whole tone of it; nothing the walk
+    skips can be the answer, and it stays exhaustive over the rest.  The walk
+    keeps its own stack of (voice, used targets, total, whole tones)."""
+    dst = sorted(y.pitch_classes())
+    near = []  # per voice of x: (target bit, step) for each y pitch within a whole tone
+    for a in sorted(x.pitch_classes()):
+        options = []
+        for j, b in enumerate(dst):
             d = (a - b) % 12
             d = min(d, 12 - d)
-            if d > 2:
-                break
-            semis += d == 1
-            wholes += d == 2
-        else:
-            key = (semis + 2 * wholes, wholes)
-            if best is None or key < best[0]:
-                best = (key, VoiceLeading(semis, wholes))
-    return best[1] if best else None
+            if d <= 2:
+                options.append((1 << j, d))
+        near.append(options)
+    best = None
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, used, total, wholes = stack.pop()
+        if i == len(near):
+            if best is None or (total, wholes) < best:
+                best = (total, wholes)
+            continue
+        for bit, d in near[i]:
+            if not used & bit:
+                stack.append((i + 1, used | bit, total + d, wholes + (d == 2)))
+    if best is None:
+        return None
+    total, wholes = best
+    return VoiceLeading(total - 2 * wholes, wholes)
 
 
 def _same_region(t: Transformation, c: Chord, image: Chord) -> bool:
@@ -219,13 +241,11 @@ def _global_checks(results: list[CheckResult]) -> None:
 
     # T_1 and I_0 generate every transposition/inversion, so invariance under
     # those two implies invariance under all 24 operations.
-    ok = True
     for bits in range(1, 4096):
         s = frozenset(i for i in range(12) if bits >> i & 1)
-        p = prime_form(s)
-        ok = ok and p == prime_form(transpose(s, 1)) == prime_form(invert(s))
-        ok = ok and interval_class_vector(s) == interval_class_vector(transpose(s, 1))
-        ok = ok and interval_class_vector(s) == interval_class_vector(invert(s))
+        shifted, inverted, icv = transpose(s, 1), invert(s), interval_class_vector(s)
+        ok = prime_form(s) == prime_form(shifted) == prime_form(inverted)
+        ok = ok and icv == interval_class_vector(shifted) == interval_class_vector(inverted)
         if not ok:
             break
     results.append(CheckResult("prime-form-invariance", None, ok))

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import networkx as nx
 import pytest
 
+from nearsym import verify
 from nearsym.chord import Modality, all_chords, arthropod_collection, genus, parse_chord
 from nearsym.pcset import CHROMATIC, set_class
 from nearsym.region import (
@@ -206,6 +207,8 @@ def test_criterion_9_complementarity():
 
 
 def test_criterion_10_vl_oracle_equivalence():
+    # the plain permutation scan checks the library relation and verify's
+    # bounded-step walk, the reference of its vl-oracle-agreement check
     with criterion(10, "voice-leading relation matches exhaustive search on 1728 pairs"):
         pairs = 0
         for g in ALL_GENERA:
@@ -213,8 +216,8 @@ def test_criterion_10_vl_oracle_equivalence():
             for x in universe:
                 for y in universe:
                     expected = vl_oracle(x.pitch_classes(), y.pitch_classes())
-                    actual = vl_relation(x, y)
-                    assert (tuple(actual) if actual else None) == expected
+                    for actual in (vl_relation(x, y), verify._naive_vl(x, y)):
+                        assert (tuple(actual) if actual else None) == expected
                     pairs += 1
         assert pairs == 3 * 24 * 24
 

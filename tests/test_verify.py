@@ -6,7 +6,10 @@ empty detail.  Missing cycles fail cycle-counts, which names the region and
 the counts it found.  A region lookup that answers with the wrong region
 fails the partition checks, and a bridge graph with an edge too many, or
 with two edges switched to same-modality pairs, fails graph-shape.  A
-displaced-note offset one semitone off fails perturbation-roundtrip."""
+displaced-note offset one semitone off fails perturbation-roundtrip.  A
+voice-leading relation wrong on one pair fails vl-oracle-agreement alone, and
+a prime form that is not transposition-invariant on one set fails
+prime-form-invariance alone."""
 
 from types import SimpleNamespace
 
@@ -14,6 +17,7 @@ import pytest
 
 from nearsym import verify
 from nearsym.chord import _DISPLACED_NOTE, genus, parent_symmetric_cell, parse_chord
+from nearsym.pcset import prime_form
 from nearsym.region import (
     RegionKind,
     arthropod_regions,
@@ -22,6 +26,7 @@ from nearsym.region import (
     region_of,
     smooth_cycle_ids,
 )
+from nearsym.voiceleading import VoiceLeading, vl_relation
 
 K = 50  # a 4-cycle in the middle of the 90 four-chord cycles
 TAMPER_NAMES = (
@@ -207,3 +212,30 @@ def test_a_displaced_note_one_semitone_off_fails_the_roundtrip(
     monkeypatch.setitem(_DISPLACED_NOTE, entry, _DISPLACED_NOTE[entry] + 1)
     n = entry[0]
     assert f"FAIL perturbation-roundtrip [n={n}]" in _failed(n)
+
+
+def test_a_relation_wrong_on_one_pair_fails_only_the_oracle_agreement(monkeypatch):
+    # wrong both ways round, so vl-symmetry still holds; C+ and D+ share a
+    # modality, so no counting or conformance check reads the pair
+    g = genus(6)
+    pair = {parse_chord("C+", g), parse_chord("D+", g)}
+    assert vl_relation(*pair) == VoiceLeading(2, 0)
+    monkeypatch.setattr(
+        verify,
+        "vl_relation",
+        lambda x, y: VoiceLeading(0, 1) if {x, y} == pair else vl_relation(x, y),
+    )
+    assert _failed(6) == ["FAIL vl-oracle-agreement [n=6]"]
+
+
+def test_a_prime_form_not_transposition_invariant_fails_the_invariance_check(monkeypatch):
+    # C major's transposition up a semitone answers with the major triad
+    # unreduced; no Forte prime form is that set, so forte-table still holds
+    monkeypatch.setattr(
+        verify,
+        "prime_form",
+        lambda s: (0, 4, 7) if set(s) == {1, 5, 8} else prime_form(s),
+    )
+    results = []
+    verify._global_checks(results)
+    assert [r.line() for r in results if not r.passed] == ["FAIL prime-form-invariance"]
