@@ -137,7 +137,12 @@ def catalog(g: Genus) -> tuple[Transformation, ...]:
 
 
 def _normalize_token(text: str) -> str:
-    cleaned = "".join(ch for ch in text.strip() if ch not in "^{}").upper()
+    cleaned = text.strip().upper()
+    # the superscript spelling wraps all that follows the S: S^{3(4)}
+    if cleaned.startswith("S^{") and cleaned.endswith("}") and len(cleaned) > 4:
+        cleaned = "S" + cleaned[3:-1]
+    if any(ch in cleaned for ch in "^{}"):
+        raise TokenParseError(f"malformed superscript token: {text!r}")
     return _FULL_FORM_ALIASES.get(cleaned, cleaned)
 
 
@@ -146,6 +151,7 @@ def transformation(token: str, g: Genus) -> Transformation:
 
     Accepts the flat ASCII spelling (``S3(4)``), the superscript spelling
     (``S^{3(4)}``), and fully spelled abbreviations (``S6(5)`` for ``S6``).
+    A ``^``, ``{`` or ``}`` anywhere else raises ``TokenParseError``.
     """
     normalized = _normalize_token(token)
     for t in catalog(g):

@@ -13,6 +13,21 @@ nothing with the cyclic shifts ``vl_relation`` reads.  A bijection with a
 step over two semitones is no voice-leading, so nothing the walk prunes can
 be the answer: the search stays exhaustive.
 
+prime-form-invariance computes each set's prime form and interval-class
+vector once, into a table indexed by the set's 12-bit mask, and compares
+each set's entry with the entries at the masks of its T1 and I0 images.
+Both kernels are functions of the set, so the entry at an image's mask is
+what the kernel answers on the image: comparing entries is the same claim as
+calling the kernels on both sides, with each set computed once.
+
+cycle-structure also proves the enumerated cycles distinct, with two rules
+per cycle beside the per-hop ones.  A cycle has exactly one reading from its
+smallest id toward the smaller of that id's two cycle neighbours, and each
+cycle must be in that reading; and each must follow the cycle before it in
+(length, ids) order, the order ``enumerate_smooth_cycles`` documents.
+Distinct readings in strictly increasing order cannot repeat a cycle, and
+checking that holds one previous cycle, not a set of them all.
+
 graph-shape checks one rule for every genus: each bridge graph is the crown
 graph, K(n,n) minus a perfect matching, with the two modalities as its sides
 (the missing matching is the polar pairs, which share no pitch class).  The
@@ -155,9 +170,9 @@ def _slide_images(t: Transformation, c: Chord) -> set[Chord]:
     images = set()
     for moved in combinations(sorted(pcs), len(moved_class) if moved_class else 1):
         held = pcs - set(moved)
-        if moved_class and prime_form(moved) != moved_class:
+        if moved_class and set_class(moved).prime_form != moved_class:
             continue
-        if held_class and prime_form(held) != held_class:
+        if held_class and set_class(held).prime_form != held_class:
             continue
         for delta in (1, -1):
             image = find_chord(held | {(p + delta) % 12 for p in moved}, c.genus)
@@ -184,33 +199,46 @@ def _cycle_structure(
     """The cycles are id tuples indexing chords, which must be r's members.
     Every cycle visits distinct members along r's edges, closing hop
     included, alternating modality; every full-length cycle covers r's pitch
-    union, and there is one.  Each id has a neighbour mask, a modality flag
-    and a pitch-class mask."""
+    union, and there is one.  Each cycle is read from its smallest id toward
+    the smaller of that id's two cycle neighbours, and follows the cycle
+    before it in (length, ids) order, so no cycle is listed twice.  Each id
+    has one mask of its opposite-modality neighbours, a modality flag and a
+    pitch-class mask."""
     if len(chords) != len(r.members) or set(chords) != set(r.members):
         return f"{r.family} region {r.id}: the cycle ids do not number its members"
     ids = {c: i for i, c in enumerate(chords)}
     adj = adjacency(r)
-    neighbours = [_mask(ids[o] for o in adj[c]) for c in chords]
+    across = [_mask(ids[o] for o in adj[c] if o.modality is not c.modality) for c in chords]
     plus = [c.modality is Modality.PLUS for c in chords]
     pitches = [_mask(c.pitch_classes()) for c in chords]
     union = _mask(r.pitch_union)
     full = 2 * r.genus.n
     any_full = False
+    last: tuple = ()
     for ring in cycles:
-        seen = covered = 0
+        seen = 0
         prev = ring[-1]
         for v in ring:
             bit = 1 << v
             if seen & bit:
                 return _culprit(chords, ring, f"{chords[v]} repeats")
-            if plus[prev] == plus[v]:
-                return _culprit(chords, ring, f"{chords[prev]} -> {chords[v]} keeps the modality")
-            if not neighbours[prev] & bit:
-                return _culprit(chords, ring, f"{chords[prev]} -> {chords[v]} is not an edge")
+            if not across[prev] & bit:
+                rule = "keeps the modality" if plus[prev] == plus[v] else "is not an edge"
+                return _culprit(chords, ring, f"{chords[prev]} -> {chords[v]} {rule}")
             seen |= bit
-            covered |= pitches[v]
             prev = v
+        if seen & ((1 << ring[0]) - 1) or not ring[1] < ring[-1]:
+            rule = "it is not read from its smallest chord toward the smaller neighbour"
+            return _culprit(chords, ring, rule)
+        key = (len(ring), ring)
+        if key <= last:
+            rule = "it does not follow the cycle before it in (length, chords) order"
+            return _culprit(chords, ring, rule)
+        last = key
         if len(ring) == full:
+            covered = 0
+            for v in ring:
+                covered |= pitches[v]
             if covered != union:
                 return _culprit(chords, ring, "it misses part of the region's pitch union")
             any_full = True
@@ -219,6 +247,10 @@ def _cycle_structure(
 
 def _mask(bits: Iterable[int]) -> int:
     return sum(1 << b for b in bits)
+
+
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(12) if mask >> i & 1)
 
 
 def _culprit(chords: tuple[Chord, ...], ring: tuple[int, ...], rule: str) -> str:
@@ -240,12 +272,19 @@ def _global_checks(results: list[CheckResult]) -> None:
     results.append(CheckResult("z12-generators", None, ok))
 
     # T_1 and I_0 generate every transposition/inversion, so invariance under
-    # those two implies invariance under all 24 operations.
+    # those two implies invariance under all 24 operations.  The table holds
+    # each set's (prime form, interval-class vector) at its mask, as the
+    # module docstring explains.  Equal entries are shared: there are 223
+    # distinct ones, so it holds about 70 KB where unshared entries took 970.
+    table: list[tuple | None] = [None] * 4096
+    shared: dict[tuple, tuple] = {}
     for bits in range(1, 4096):
-        s = frozenset(i for i in range(12) if bits >> i & 1)
-        shifted, inverted, icv = transpose(s, 1), invert(s), interval_class_vector(s)
-        ok = prime_form(s) == prime_form(shifted) == prime_form(inverted)
-        ok = ok and icv == interval_class_vector(shifted) == interval_class_vector(inverted)
+        s = _members(bits)
+        entry = (prime_form(s), interval_class_vector(s))
+        table[bits] = shared.setdefault(entry, entry)
+    for bits in range(1, 4096):
+        s = _members(bits)
+        ok = table[bits] == table[_mask(transpose(s, 1))] == table[_mask(invert(s))]
         if not ok:
             break
     results.append(CheckResult("prime-form-invariance", None, ok))

@@ -94,6 +94,12 @@ def test_apply_bad_chord_is_a_parse_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("seq", ["}S{", "S^{", "S^{3(4)"])
+def test_apply_malformed_superscript_is_a_parse_error(capsys, seq):
+    code, out, err = run(capsys, "apply", "--genus", "3", "--chord", "C+", "--seq", seq)
+    assert (code, out, err) == (2, "", f"error: malformed superscript token: {seq!r}\n")
+
+
 def test_apply_wrong_genus_token_is_a_domain_error(capsys):
     code, _, err = run(capsys, "apply", "--genus", "3", "--chord", "C+", "--seq", "Z")
     assert code == 3

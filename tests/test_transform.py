@@ -47,9 +47,17 @@ def test_catalog_kind_counts():
 def test_token_parsing_accepts_superscript_and_full_spellings():
     assert transformation("S^{3(4)}", G4).token == "S3(4)"
     assert transformation("S^{A(3)}", G6).token == "SA(3)"
+    assert transformation("s^{a(3)}", G6).token == "SA(3)"
     assert transformation("S6(5)", G4).token == "S6"
     assert transformation("S1(W)", G6).token == "S1"
     assert transformation("r**", G6).token == "R**"
+
+
+@pytest.mark.parametrize("text", ["}S{", "S^{", "S^{3(4)", "S^{}", "S^{3(4)}}", "S3(^4)"])
+def test_malformed_superscript_tokens_are_rejected(text):
+    # only the whole wrapped form S^{...} may carry ^, { or }
+    with pytest.raises(TokenParseError, match="malformed superscript token"):
+        transformation(text, G4)
 
 
 def test_token_errors():

@@ -1,15 +1,19 @@
 """Tampered inputs fail the verify claims that should catch them.
 
 The cycle-structure check fails on tampered enumerator ids and names the
-offending cycle and the rule it breaks; on honest ids it passes with an
-empty detail.  Missing cycles fail cycle-counts, which names the region and
-the counts it found.  A region lookup that answers with the wrong region
-fails the partition checks, and a bridge graph with an edge too many, or
-with two edges switched to same-modality pairs, fails graph-shape.  A
-displaced-note offset one semitone off fails perturbation-roundtrip.  A
-voice-leading relation wrong on one pair fails vl-oracle-agreement alone, and
-a prime form that is not transposition-invariant on one set fails
-prime-form-invariance alone."""
+offending cycle and the rule it breaks, a cycle listed twice or in another
+reading included; on honest ids it passes with an empty detail.  Missing
+cycles fail cycle-counts, which names the region and the counts it found.  A
+region lookup that answers with the wrong region fails the partition checks,
+and a bridge graph with an edge too many, or with two edges switched to
+same-modality pairs, fails graph-shape.  A displaced-note offset one
+semitone off fails perturbation-roundtrip.  A voice-leading relation wrong
+on one pair fails vl-oracle-agreement alone.  A prime form that is not
+transposition-invariant on one set, one that ignores inversion on every
+major triad, one wrong on a set that is its own inversion, and an
+interval-class vector wrong on one set each fail prime-form-invariance
+alone: between them they need the T1 comparison, the I0 comparison and the
+interval-vector half of the check."""
 
 from types import SimpleNamespace
 
@@ -17,7 +21,7 @@ import pytest
 
 from nearsym import verify
 from nearsym.chord import _DISPLACED_NOTE, genus, parent_symmetric_cell, parse_chord
-from nearsym.pcset import prime_form
+from nearsym.pcset import interval_class_vector, prime_form, transpose
 from nearsym.region import (
     RegionKind,
     arthropod_regions,
@@ -30,7 +34,8 @@ from nearsym.voiceleading import VoiceLeading, vl_relation
 
 K = 50  # a 4-cycle in the middle of the 90 four-chord cycles
 TAMPER_NAMES = (
-    "non-edge hop", "repeated chord", "same-modality neighbours", "no full-length cycle"
+    "non-edge hop", "repeated chord", "same-modality neighbours", "no full-length cycle",
+    "repeated cycle", "other reading", "other start",
 )
 
 
@@ -70,6 +75,21 @@ def dodecatonic():
             tuple(cyc for cyc in cycles if len(cyc) < 12),
             "dodecatonic region 0 has no cycle of length 12",
         ),
+        "repeated cycle": (
+            cycles[: K + 1] + (cycles[K],) + cycles[K + 2 :],
+            f"cycle {_names(A, B, C, D)}: it does not follow the cycle before it"
+            " in (length, chords) order",
+        ),
+        "other reading": (
+            replace_kth(a, d, c, b),
+            f"cycle {_names(A, D, C, B)}: it is not read from its smallest chord"
+            " toward the smaller neighbour",
+        ),
+        "other start": (
+            replace_kth(b, a, d, c),
+            f"cycle {_names(B, A, D, C)}: it is not read from its smallest chord"
+            " toward the smaller neighbour",
+        ),
     }
     assert tuple(tampers) == TAMPER_NAMES
     return SimpleNamespace(
@@ -87,6 +107,12 @@ def _enumerate_as(monkeypatch, dodecatonic, cycles):
 
 def _failed(n):
     return [r.line() for r in verify.run_checks(n) if not r.passed]
+
+
+def _failed_globally():
+    results = []
+    verify._global_checks(results)
+    return [r.line() for r in results if not r.passed]
 
 
 def test_cycle_structure_passes_on_the_enumerator_output(monkeypatch, dodecatonic):
@@ -236,6 +262,38 @@ def test_a_prime_form_not_transposition_invariant_fails_the_invariance_check(mon
         "prime_form",
         lambda s: (0, 4, 7) if set(s) == {1, 5, 8} else prime_form(s),
     )
-    results = []
-    verify._global_checks(results)
-    assert [r.line() for r in results if not r.passed] == ["FAIL prime-form-invariance"]
+    assert _failed_globally() == ["FAIL prime-form-invariance"]
+
+
+def test_a_prime_form_that_ignores_inversion_fails_the_invariance_check(monkeypatch):
+    # every major triad answers its own form, unreduced by inversion: the
+    # answer is transposition-invariant, but the minor triads answer (0, 3, 7)
+    majors = {transpose({0, 4, 7}, t) for t in range(12)}
+    monkeypatch.setattr(
+        verify,
+        "prime_form",
+        lambda s: (0, 4, 7) if frozenset(s) in majors else prime_form(s),
+    )
+    assert _failed_globally() == ["FAIL prime-form-invariance"]
+
+
+def test_an_interval_vector_wrong_on_one_set_fails_the_invariance_check(monkeypatch):
+    assert interval_class_vector({0, 4, 7}) == (0, 0, 1, 1, 1, 0)
+    monkeypatch.setattr(
+        verify,
+        "interval_class_vector",
+        lambda s: (0, 0, 0, 1, 1, 1) if set(s) == {0, 4, 7} else interval_class_vector(s),
+    )
+    assert _failed_globally() == ["FAIL prime-form-invariance"]
+
+
+def test_a_prime_form_wrong_on_one_inversion_symmetric_set_fails_the_invariance_check(
+    monkeypatch,
+):
+    # {1, 11} is its own inversion, so only its transpositions can expose the
+    # unreduced answer; no Forte prime form is that set
+    assert prime_form({1, 11}) == (0, 2)
+    monkeypatch.setattr(
+        verify, "prime_form", lambda s: (0, 10) if set(s) == {1, 11} else prime_form(s)
+    )
+    assert _failed_globally() == ["FAIL prime-form-invariance"]
