@@ -7,6 +7,13 @@ cell of roots; its graph is complete bipartite minus the polar pairs, which
 share no pitch classes.  Each smooth cycle of a bridge region is listed once,
 read from its smallest chord toward its smaller neighbour.
 
+The bridge regions of a genus are transpositions of one another, so with
+their chords numbered in sort_key order they have the same graph.  The walk
+is keyed by the neighbour masks and the length window, not by the region,
+and keeps its last answer only: regions of one genus asked one after another
+(verify's pass over them) share one walk, and one entry costs at most the
+2 MB of the full n=6 walk, where a cache of every window would grow to 36 MB.
+
 The cycle walk runs over integer ids in sort_key order.  Each id has a
 neighbour bitmask, and a ``free`` mask holds the unvisited ids above the
 path's start; a cached table per region size turns a mask into its ascending
@@ -29,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -197,7 +204,7 @@ def _bit_lists(size: int) -> tuple[tuple[int, ...], ...]:
 def _extend(
     path: list[int],
     free: int,
-    nbm: list[int],
+    nbm: tuple[int, ...],
     bits: tuple[tuple[int, ...], ...],
     ends: int,
     min_len: int,
@@ -241,7 +248,19 @@ def smooth_cycle_ids(
     chords = tuple(sorted(region.members, key=lambda c: c.sort_key))
     ids = {c: i for i, c in enumerate(chords)}
     adj = adjacency(region)
-    nbm = [sum(1 << ids[n] for n in adj[c]) for c in chords]
+    nbm = tuple(sum(1 << ids[n] for n in adj[c]) for c in chords)
+    return chords, _walk(nbm, min_len, max_len)
+
+
+# One entry, not an unbounded cache: the full n=6 walk holds 2 MB, but the
+# walks of all 45 length windows of an n=6 region hold 36 MB (tracemalloc).
+# The bridge regions of a genus share one graph, so one entry serves
+# verify's pass over them and a repeated window of ``nearsym cycles``.
+@lru_cache(maxsize=1)
+def _walk(nbm: tuple[int, ...], min_len: int, max_len: int) -> tuple[tuple[int, ...], ...]:
+    """Every cycle, as ids, of the graph whose id i has neighbour mask
+    nbm[i], with length in [min_len, max_len], in ``smooth_cycle_ids`` order."""
+    size = len(nbm)
     bits = _bit_lists(size)
 
     # Each path starts at its cycle's smallest vertex, so it walks only the
@@ -260,7 +279,7 @@ def smooth_cycle_ids(
             path = [start, second]
             _extend(path, free ^ (1 << second), nbm, bits, ends, min_len, max_len, found)
 
-    return chords, tuple(chain.from_iterable(found))
+    return tuple(chain.from_iterable(found))
 
 
 def enumerate_smooth_cycles(

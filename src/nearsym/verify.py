@@ -14,11 +14,15 @@ step over two semitones is no voice-leading, so nothing the walk prunes can
 be the answer: the search stays exhaustive.
 
 prime-form-invariance computes each set's prime form and interval-class
-vector once, into a table indexed by the set's 12-bit mask, and compares
-each set's entry with the entries at the masks of its T1 and I0 images.
-Both kernels are functions of the set, so the entry at an image's mask is
-what the kernel answers on the image: comparing entries is the same claim as
-calling the kernels on both sides, with each set computed once.
+vector once, into a table indexed by the set's 12-bit mask (bit p for pitch
+class p), and compares each set's entry with the entries at the masks of its
+T1 and I0 images.  Both kernels are functions of the set, so the entry at an
+image's mask is what the kernel answers on the image: comparing entries is
+the same claim as calling the kernels on both sides, with each set computed
+once.  The image masks are arithmetic on the set's mask, with no set built:
+T1 sends bit p to bit p+1 mod 12, a left rotation of the 12 bits, and I0
+sends bit p to bit -p mod 12, which is reversing the 12 bits (p to 11-p)
+and then rotating left once.
 
 cycle-structure also proves the enumerated cycles distinct, with two rules
 per cycle beside the per-hop ones.  A cycle has exactly one reading from its
@@ -183,9 +187,11 @@ def _slide_images(t: Transformation, c: Chord) -> set[Chord]:
 
 def _cycle_checks(r: Region) -> tuple[str, str]:
     """(cycle-counts failure, cycle-structure failure) for one bridge region,
-    from a single enumeration that is dropped on return.  Each is "" when its
-    claim holds; else the first names the region and the counts it found, the
-    second the first offending cycle and the rule it breaks."""
+    from one call of ``smooth_cycle_ids``; the region module keeps the last
+    walk, so the next region of the genus, which has the same graph, reads
+    the same cycles.  Each is "" when its claim holds; else the first names
+    the region and the counts it found, the second the first offending cycle
+    and the rule it breaks."""
     chords, cycles = smooth_cycle_ids(r)
     found = dict(sorted(Counter(map(len, cycles)).items()))
     expected = EXPECTED_CYCLE_COUNTS[r.genus.n]
@@ -197,13 +203,13 @@ def _cycle_structure(
     r: Region, chords: tuple[Chord, ...], cycles: tuple[tuple[int, ...], ...]
 ) -> str:
     """The cycles are id tuples indexing chords, which must be r's members.
-    Every cycle visits distinct members along r's edges, closing hop
-    included, alternating modality; every full-length cycle covers r's pitch
-    union, and there is one.  Each cycle is read from its smallest id toward
-    the smaller of that id's two cycle neighbours, and follows the cycle
-    before it in (length, ids) order, so no cycle is listed twice.  Each id
-    has one mask of its opposite-modality neighbours, a modality flag and a
-    pitch-class mask."""
+    Every cycle has at least 4 ids and visits distinct members along r's
+    edges, closing hop included, alternating modality; every full-length
+    cycle covers r's pitch union, and there is one.  Each cycle is read from
+    its smallest id toward the smaller of that id's two cycle neighbours, and
+    follows the cycle before it in (length, ids) order, so no cycle is listed
+    twice.  Each id has one mask of its opposite-modality neighbours, a
+    modality flag and a pitch-class mask."""
     if len(chords) != len(r.members) or set(chords) != set(r.members):
         return f"{r.family} region {r.id}: the cycle ids do not number its members"
     ids = {c: i for i, c in enumerate(chords)}
@@ -216,6 +222,8 @@ def _cycle_structure(
     any_full = False
     last: tuple = ()
     for ring in cycles:
+        if len(ring) < 4:
+            return _culprit(chords, ring, "it has fewer than 4 chords")
         seen = 0
         prev = ring[-1]
         for v in ring:
@@ -254,7 +262,7 @@ def _members(mask: int) -> frozenset[int]:
 
 
 def _culprit(chords: tuple[Chord, ...], ring: tuple[int, ...], rule: str) -> str:
-    return f"cycle {' '.join(chords[v].name() for v in ring)}: {rule}"
+    return f"cycle {' '.join(chords[v].name() for v in ring) or '()'}: {rule}"
 
 
 def _global_checks(results: list[CheckResult]) -> None:
@@ -283,8 +291,10 @@ def _global_checks(results: list[CheckResult]) -> None:
         entry = (prime_form(s), interval_class_vector(s))
         table[bits] = shared.setdefault(entry, entry)
     for bits in range(1, 4096):
-        s = _members(bits)
-        ok = table[bits] == table[_mask(transpose(s, 1))] == table[_mask(invert(s))]
+        t1 = (bits << 1 | bits >> 11) & 0xFFF
+        rev = int(f"{bits:012b}"[::-1], 2)
+        i0 = (rev << 1 | rev >> 11) & 0xFFF
+        ok = table[bits] == table[t1] == table[i0]
         if not ok:
             break
     results.append(CheckResult("prime-form-invariance", None, ok))

@@ -9,6 +9,11 @@ moves as possible.  Uncrossing voices never lengthens a voice-leading
 sets are read; verify's exhaustive check over all 1,728 same-genus pairs is
 what proves the tie-break falls among them too.
 
+Transposing both chords by one interval keeps every step, so the relation
+depends only on the genus, the two modalities and the root difference:
+``vl_relation`` reads it from a memoised scan of the genus templates keyed
+by those, one scan per modality pair and root difference (144 in all).
+
 Each catalog kind moves the voices by one relation of n, ``catalog_relation``:
 relative P0,1, arthropod slide P2,0, bridge slide P(n-2),0, pole P(n),0.
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .chord import Chord
+from .chord import Chord, Genus, Modality
 from .errors import GenusMismatchError
 from .transform import Kind, Transformation, apply, catalog
 
@@ -52,13 +57,21 @@ def _step(a: int, b: int) -> int:
 @cache
 def vl_relation(x: Chord, y: Chord) -> VoiceLeading | None:
     """The most parsimonious voice-leading between x and y, or None when
-    every bijection would move some voice more than a whole tone.  Reads
-    only the cyclic shifts of y's sorted pitch classes against x's; verify's
-    exhaustive check over all 1,728 pairs proves that enough here."""
+    every bijection would move some voice more than a whole tone.  Read from
+    the cyclic-shift scan for the two modalities and the root difference;
+    verify's exhaustive check over all 1,728 pairs proves that enough here."""
     if x.genus != y.genus:
         raise GenusMismatchError(f"cannot relate {x} (n={x.genus.n}) to {y} (n={y.genus.n})")
-    src = sorted(x.pitch_classes())
-    dst = sorted(y.pitch_classes())
+    return _relation(x.genus, x.modality, y.modality, (y.root - x.root) % 12)
+
+
+@cache
+def _relation(g: Genus, xm: Modality, ym: Modality, diff: int) -> VoiceLeading | None:
+    """vl_relation from the xm chord on root 0 to the ym chord on root diff:
+    the cyclic shifts of the second's sorted pitch classes against the
+    first's.  At most 144 keys, each scanned on first use."""
+    src = sorted(Chord(g, 0, xm).pitch_classes())
+    dst = sorted(Chord(g, diff, ym).pitch_classes())
     best = None
     for k in range(len(dst)):
         steps = list(map(_step, src, dst[k:] + dst[:k]))

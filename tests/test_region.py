@@ -5,6 +5,8 @@ from collections import Counter
 import networkx as nx
 import pytest
 
+from nearsym import region as region_module
+from nearsym import voiceleading
 from nearsym.chord import all_chords, genus, parse_chord
 from nearsym.region import (
     RegionKind,
@@ -187,15 +189,51 @@ def _garbage_after(call, *args):
 
 def test_cycle_walk_leaves_no_garbage():
     # A walk that holds its results in reference cycles keeps every cycle
-    # list alive until the collector runs, which doubles peak memory.
+    # list alive until the collector runs, which doubles peak memory.  The
+    # walk is memoised, so its cache is emptied first: a hit walks nothing.
+    region_module._walk.cache_clear()
     assert _garbage_after(smooth_cycle_ids, bridge_regions(G6)[0]) == 0
+    assert region_module._walk.cache_info().misses == 1
 
 
 def test_vl_relation_leaves_no_garbage():
     # The same trap in one uncached call: a search recursing through a
     # closure that refers to itself leaves its frames for the collector.
+    # Both layers are memoised, so the scan's cache is emptied first.
     c_plus, c_minus = parse_chord("C+", G6), parse_chord("C-", G6)
+    voiceleading._relation.cache_clear()
     assert _garbage_after(vl_relation.__wrapped__, c_plus, c_minus) == 0
+    assert voiceleading._relation.cache_info().misses == 1
+
+
+def test_the_bridge_regions_of_a_genus_share_one_cycle_walk():
+    first, second = bridge_regions(G6)
+    chords_0, cycles_0 = smooth_cycle_ids(first)
+    chords_1, cycles_1 = smooth_cycle_ids(second)
+    assert chords_0 != chords_1
+    assert cycles_1 is cycles_0
+
+
+def test_a_region_with_another_graph_gets_a_walk_of_its_own(monkeypatch):
+    # the walk is keyed by the neighbour masks, not by the genus: drop one
+    # edge of the second octatonic region and it loses the cycles through it
+    first, second = bridge_regions(G4)[:2]
+    real = region_module.adjacency
+
+    def adjacency(r):
+        adj = real(r)
+        if r == second:
+            x = min(adj, key=lambda c: c.sort_key)
+            y = min(adj[x], key=lambda c: c.sort_key)
+            adj[x].remove(y)
+            adj[y].remove(x)
+        return adj
+
+    monkeypatch.setattr(region_module, "adjacency", adjacency)
+    _, cycles_0 = smooth_cycle_ids(first)
+    _, cycles_1 = smooth_cycle_ids(second)
+    assert len(cycles_0) == sum(EXPECTED_CYCLE_COUNTS[4].values())
+    assert 0 < len(cycles_1) < len(cycles_0)
 
 
 def test_full_cycles_cover_the_region_union():

@@ -2,18 +2,18 @@
 
 The cycle-structure check fails on tampered enumerator ids and names the
 offending cycle and the rule it breaks, a cycle listed twice or in another
-reading included; on honest ids it passes with an empty detail.  Missing
-cycles fail cycle-counts, which names the region and the counts it found.  A
-region lookup that answers with the wrong region fails the partition checks,
-and a bridge graph with an edge too many, or with two edges switched to
-same-modality pairs, fails graph-shape.  A displaced-note offset one
-semitone off fails perturbation-roundtrip.  A voice-leading relation wrong
-on one pair fails vl-oracle-agreement alone.  A prime form that is not
-transposition-invariant on one set, one that ignores inversion on every
-major triad, one wrong on a set that is its own inversion, and an
-interval-class vector wrong on one set each fail prime-form-invariance
-alone: between them they need the T1 comparison, the I0 comparison and the
-interval-vector half of the check."""
+reading and a cycle of no or two chords included; on honest ids it passes
+with an empty detail.  Missing cycles fail cycle-counts, which names the
+region and the counts it found.  A region lookup that answers with the wrong
+region fails the partition checks, and a bridge graph with an edge too many,
+or with two edges switched to same-modality pairs, fails graph-shape.  A
+displaced-note offset one semitone off fails perturbation-roundtrip.  A
+voice-leading relation wrong on one pair fails vl-oracle-agreement alone.  A
+prime form that is not transposition-invariant on one set, one that ignores
+inversion on every major triad, one wrong on a set that is its own
+inversion, and an interval-class vector wrong on one set each fail
+prime-form-invariance alone: between them they need the T1 comparison, the
+I0 comparison and the interval-vector half of the check."""
 
 from types import SimpleNamespace
 
@@ -35,7 +35,7 @@ from nearsym.voiceleading import VoiceLeading, vl_relation
 K = 50  # a 4-cycle in the middle of the 90 four-chord cycles
 TAMPER_NAMES = (
     "non-edge hop", "repeated chord", "same-modality neighbours", "no full-length cycle",
-    "repeated cycle", "other reading", "other start",
+    "repeated cycle", "other reading", "other start", "empty cycle", "two-chord cycle",
 )
 
 
@@ -89,6 +89,14 @@ def dodecatonic():
             replace_kth(b, a, d, c),
             f"cycle {_names(B, A, D, C)}: it is not read from its smallest chord"
             " toward the smaller neighbour",
+        ),
+        "empty cycle": (
+            replace_kth(),
+            "cycle (): it has fewer than 4 chords",
+        ),
+        "two-chord cycle": (
+            replace_kth(a, b),
+            f"cycle {_names(A, B)}: it has fewer than 4 chords",
         ),
     }
     assert tuple(tampers) == TAMPER_NAMES

@@ -1,5 +1,6 @@
 import pytest
 
+from nearsym import voiceleading
 from nearsym.chord import all_chords, genus, parse_chord
 from nearsym.errors import GenusMismatchError
 from nearsym.voiceleading import VoiceLeading, ssd_neighbors, vl_relation
@@ -69,3 +70,17 @@ def test_only_triads_have_ssd_neighbors():
 def test_label():
     assert VoiceLeading(2, 0).label == "P2,0"
     assert VoiceLeading(0, 1).label == "P0,1"
+
+
+def test_relation_scans_once_per_modality_pair_and_root_difference():
+    # 3 genera x 2 x 2 modalities x 12 root differences: 144 scans serve all
+    # 1,728 same-genus pairs, called past vl_relation's own cache
+    voiceleading._relation.cache_clear()
+    for g in (G3, G4, G6):
+        universe = all_chords(g)
+        for x in universe:
+            for y in universe:
+                vl_relation.__wrapped__(x, y)
+    info = voiceleading._relation.cache_info()
+    assert info.hits + info.misses == 1728
+    assert info.misses <= 144
