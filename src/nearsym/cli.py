@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import reduce
 from operator import or_
 
@@ -26,7 +27,7 @@ from .errors import (
     TokenParseError,
     UnsupportedCardinalityError,
 )
-from .pcset import set_class
+from .pcset import from_mask, set_class, to_mask
 from .region import (
     RegionKind,
     arthropod_regions,
@@ -168,11 +169,6 @@ def _format_union(union, names) -> str:
     return " ".join(names[p] for p in sorted(union)) + f" = {label}"
 
 
-def _mask_pcs(mask: int) -> list[int]:
-    """The pitch classes of a 12-bit mask, ascending."""
-    return [p for p in range(12) if mask >> p & 1]
-
-
 def _rendered_cycles(cycles, masks, names, head: str, sep: str, tail):
     """Each cycle of ids as text: head, its members' names joined by sep,
     then tail(union mask, length), computed once per distinct pair."""
@@ -186,8 +182,8 @@ def _rendered_cycles(cycles, masks, names, head: str, sep: str, tail):
 
 
 def _json_cycle_tail(union: int, length: int) -> str:
-    pcs = ",\n".join(f"        {p}" for p in _mask_pcs(union))
-    forte = json.dumps(set_class(_mask_pcs(union)).forte_name)
+    pcs = ",\n".join(f"        {p}" for p in sorted(from_mask(union)))
+    forte = json.dumps(set_class(from_mask(union)).forte_name)
     return (
         f'\n      ],\n      "length": {length},\n      "pitch_union": [\n{pcs}\n      ],'
         f'\n      "set_class": {forte}\n    }}'
@@ -205,7 +201,7 @@ def cmd_cycles(args) -> int:
         )
     chords, cycles = smooth_cycle_ids(region, args.min_len, max_len)
     flats = args.accidentals == "flats"
-    masks = [sum(1 << p for p in c.pitch_classes()) for c in chords]
+    masks = [to_mask(c.pitch_classes()) for c in chords]
     write = sys.stdout.write
     # Streamed a cycle at a time.  The JSON must stay byte-equal to
     # json.dumps(payload, indent=2) + "\n" of the payload {kind, genus, id,
@@ -227,7 +223,7 @@ def cmd_cycles(args) -> int:
     note_names = _note_names(args)
 
     def text_tail(union: int, _length: int) -> str:
-        return f" | union {_format_union(_mask_pcs(union), note_names)}\n"
+        return f" | union {_format_union(from_mask(union), note_names)}\n"
 
     names = [c.name(flats) for c in chords]
     for text in _rendered_cycles(cycles, masks, names, "", " ", text_tail):
@@ -250,15 +246,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _emit_json(
             {
-                "checks": [
-                    {
-                        "name": r.name,
-                        "genus": r.genus,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
+                "checks": [asdict(r) for r in results],
                 "total": len(results),
                 "failed": len(failures),
                 "passed": not failures,

@@ -7,7 +7,10 @@ inputs mod 12, so callers may pass arbitrary integers.
 ``prime_form`` works on the set as a 12-bit mask (bit i for pitch class i):
 a rotation of the set is a bit rotation of the mask, and the rotation's
 highest bit is its packing span.  It builds no table, so importing the module
-and its first call cost nothing extra.
+and its first call cost nothing extra.  ``to_mask`` and ``from_mask`` convert
+a set to its mask and back; ``prime_form`` builds its own masks, so
+``verify``'s invariance check, which reads sets from masks, shares no kernel
+with it.
 
 ``set_class`` is memoised per normalised set (at most 4,095 keys), so
 labelling every cycle a region emits costs one ``prime_form`` search per
@@ -82,6 +85,20 @@ def invert(s: Iterable[int], axis: int = 0) -> PcSet:
     [0, 5, 8]
     """
     return frozenset((axis - v) % 12 for v in s)
+
+
+def to_mask(s: Iterable[int]) -> int:
+    """The set as a 12-bit mask: bit p for pitch class p.
+
+    >>> to_mask({0, 4, 7}), sorted(from_mask(145))
+    (145, [0, 4, 7])
+    """
+    return sum(1 << p for p in pcset(s))
+
+
+def from_mask(mask: int) -> PcSet:
+    """The pitch classes of a 12-bit mask, the inverse of ``to_mask``."""
+    return frozenset(p for p in range(12) if mask >> p & 1)
 
 
 def prime_form(s: Iterable[int]) -> tuple[int, ...]:

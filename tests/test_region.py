@@ -20,7 +20,7 @@ from nearsym.region import (
     region_to_dict,
     smooth_cycle_ids,
 )
-from nearsym.transform import Kind, apply, transformation, transformation_between
+from nearsym.transform import Kind, apply, catalog, transformation, transformation_between
 from nearsym.verify import EXPECTED_CYCLE_COUNTS, run_checks
 from nearsym.voiceleading import catalog_relation, vl_relation
 
@@ -97,7 +97,8 @@ def test_a_wrong_kind_relation_fails_conformance_and_changes_the_region_digest(
         monkeypatch.setattr(f"nearsym.{module}.catalog_relation", wrong)
     # n=6 is left out for time: its verify run enumerates 33,352 cycles.
     for n in (3, 4):
-        assert f"FAIL relation-conformance [n={n}]" in [
+        first = next(t.token for t in catalog(genus(n)) if t.kind is kind)
+        assert f"FAIL relation-conformance [n={n}]: ({first}, C+)" in [
             r.line() for r in run_checks(n) if not r.passed
         ]
     assert digest("region_of") != RECORDED_LIBRARY["region_of"]

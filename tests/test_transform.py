@@ -228,7 +228,7 @@ def test_slide_oracle_catches_a_wrong_offset(triad_offsets):
     # re-derivation can tell them apart.
     triad_offsets(S=5, N=1)
     assert _apply("S", "C+", G3) == "F-"
-    assert _failed(3) == {"FAIL slide-labels [n=3]"}
+    assert _failed(3) == {"FAIL slide-labels [n=3]: (S, C+)"}
 
 
 @pytest.mark.parametrize(
@@ -252,7 +252,12 @@ def test_an_offset_leaving_its_region_stops_the_region_builder(
 def test_two_tokens_with_one_offset_fail_degrees_and_coverage(triad_offsets):
     # S given N's offset doubles each (+) chord's N edge and drops its S edge
     triad_offsets(S=5)
-    assert {"FAIL region-degrees [n=3]", "FAIL catalog-coverage [n=3]"} <= _failed(3)
+    # every waterbug member is left 2 neighbours; C+ is the first chord two
+    # tokens send to one image (F-)
+    assert {
+        "FAIL region-degrees [n=3]: waterbug region 0",
+        "FAIL catalog-coverage [n=3]: C+",
+    } <= _failed(3)
 
 
 def test_rebuilt_transformations_equal_and_hash_like_the_catalog():

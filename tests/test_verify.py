@@ -1,9 +1,11 @@
-"""Tampered inputs fail the verify claims that should catch them.
+"""Tampered inputs fail the verify claims that should catch them, and each
+FAIL line names the first case that breaks the claim.
 
 The cycle-structure check fails on tampered enumerator ids and names the
 offending cycle and the rule it breaks, a cycle listed twice or in another
-reading and a cycle of no or two chords included; on honest ids it passes
-with an empty detail.  Missing cycles fail cycle-counts, which names the
+reading, a cycle of no or two chords, and an id outside the region's chords
+(named by its number) included; on honest ids it passes with an empty
+detail.  Missing cycles fail cycle-counts, which names the
 region and the counts it found.  A region lookup that answers with the wrong
 region fails the partition checks, and a bridge graph with an edge too many,
 or with two edges switched to same-modality pairs, fails graph-shape.  A
@@ -13,29 +15,54 @@ prime form that is not transposition-invariant on one set, one that ignores
 inversion on every major triad, one wrong on a set that is its own
 inversion, and an interval-class vector wrong on one set each fail
 prime-form-invariance alone: between them they need the T1 comparison, the
-I0 comparison and the interval-vector half of the check."""
+I0 comparison and the interval-vector half of the check.  Every other check
+has a tamper of its own at the ``verify`` namespace, with the exact FAIL
+lines it gives."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
 from nearsym import verify
-from nearsym.chord import _DISPLACED_NOTE, genus, parent_symmetric_cell, parse_chord
-from nearsym.pcset import interval_class_vector, prime_form, transpose
+from nearsym.chord import (
+    _DISPLACED_NOTE,
+    Direction,
+    Modality,
+    all_chords,
+    genus,
+    parent_symmetric_cell,
+    parse_chord,
+    perturb,
+)
+from nearsym.pcset import (
+    FORTE_NAMES,
+    SetClass,
+    interval_class_vector,
+    prime_form,
+    set_class,
+    transpose,
+)
 from nearsym.region import (
+    Complementarity,
     RegionKind,
+    adjacency,
     arthropod_regions,
     bridge_regions,
+    complementarity_pairs,
     polar,
     region_of,
     smooth_cycle_ids,
 )
-from nearsym.voiceleading import VoiceLeading, vl_relation
+from nearsym.symmetry import cycle_from_generator, symmetric_partition
+from nearsym.transform import Kind, apply, transformation, transformation_between
+from nearsym.voiceleading import VoiceLeading, catalog_relation, vl_relation
 
 K = 50  # a 4-cycle in the middle of the 90 four-chord cycles
 TAMPER_NAMES = (
     "non-edge hop", "repeated chord", "same-modality neighbours", "no full-length cycle",
     "repeated cycle", "other reading", "other start", "empty cycle", "two-chord cycle",
+    "outside id", "negative id",
 )
 
 
@@ -98,6 +125,14 @@ def dodecatonic():
             replace_kth(a, b),
             f"cycle {_names(A, B)}: it has fewer than 4 chords",
         ),
+        "outside id": (
+            replace_kth(a, b, c, len(chords)),
+            f"cycle {_names(A, B, C)} 12: id 12 is outside 0..11",
+        ),
+        "negative id": (
+            replace_kth(a, b, c, -1),
+            f"cycle {_names(A, B, C)} -1: id -1 is outside 0..11",
+        ),
     }
     assert tuple(tampers) == TAMPER_NAMES
     return SimpleNamespace(
@@ -117,10 +152,10 @@ def _failed(n):
     return [r.line() for r in verify.run_checks(n) if not r.passed]
 
 
-def _failed_globally():
-    results = []
-    verify._global_checks(results)
-    return [r.line() for r in results if not r.passed]
+def _failed_globally(monkeypatch):
+    # the genus claims are left out for time: run_checks reports the global ones
+    monkeypatch.setattr(verify, "_genus_claims", lambda n: [])
+    return [r.line() for r in verify.run_checks() if not r.passed]
 
 
 def test_cycle_structure_passes_on_the_enumerator_output(monkeypatch, dodecatonic):
@@ -176,8 +211,8 @@ def test_a_region_lookup_one_region_off_fails_both_partitions(monkeypatch):
 
     monkeypatch.setattr(verify, "region_of", shifted)
     failed = _failed(4)
-    assert "FAIL arthropod-partition [n=4]" in failed
-    assert "FAIL bridge-partition [n=4]" in failed
+    assert "FAIL arthropod-partition [n=4]: (spider region 1, C+)" in failed
+    assert "FAIL bridge-partition [n=4]: (octatonic region 0, C+)" in failed
 
 
 def _link(adj, x, y):
@@ -223,7 +258,16 @@ def test_a_tampered_bridge_graph_fails_graph_shape(monkeypatch, n, tamper):
         return adj
 
     monkeypatch.setattr(verify, "adjacency", adjacency)
-    assert f"FAIL graph-shape [n={n}]" in _failed(n)
+    failed = _failed(n)
+    shape = f"FAIL graph-shape [n={n}]: ({region.family} region 0, C+)"
+    if tamper is _two_edges_switched:
+        # every degree holds; the cycles, walked on the region's own graph,
+        # cross the removed edge C+ - C-
+        assert len(failed) == 2 and failed[0] == shape
+        assert failed[1].startswith(f"FAIL cycle-structure [n={n}]: cycle C+ C- ")
+        assert failed[1].endswith(": C+ -> C- is not an edge")
+    else:
+        assert failed == [f"FAIL region-degrees [n={n}]: {region.family} region 0", shape]
 
 
 def _clear_parent_caches():
@@ -244,8 +288,11 @@ def test_a_displaced_note_one_semitone_off_fails_the_roundtrip(
     monkeypatch, fresh_parent_caches, entry
 ):
     monkeypatch.setitem(_DISPLACED_NOTE, entry, _DISPLACED_NOTE[entry] + 1)
-    n = entry[0]
-    assert f"FAIL perturbation-roundtrip [n={n}]" in _failed(n)
+    n, modality = entry
+    # the first perturbation of C's cell in that modality no longer round-trips
+    cell = ", ".join(map(str, range(0, 12, 12 // n)))
+    direction = "down" if modality is Modality.PLUS else "up"
+    assert f"FAIL perturbation-roundtrip [n={n}]: ({{{cell}}}, 0, {direction})" in _failed(n)
 
 
 def test_a_relation_wrong_on_one_pair_fails_only_the_oracle_agreement(monkeypatch):
@@ -259,7 +306,7 @@ def test_a_relation_wrong_on_one_pair_fails_only_the_oracle_agreement(monkeypatc
         "vl_relation",
         lambda x, y: VoiceLeading(0, 1) if {x, y} == pair else vl_relation(x, y),
     )
-    assert _failed(6) == ["FAIL vl-oracle-agreement [n=6]"]
+    assert _failed(6) == ["FAIL vl-oracle-agreement [n=6]: (C+, D+)"]
 
 
 def test_a_prime_form_not_transposition_invariant_fails_the_invariance_check(monkeypatch):
@@ -270,7 +317,8 @@ def test_a_prime_form_not_transposition_invariant_fails_the_invariance_check(mon
         "prime_form",
         lambda s: (0, 4, 7) if set(s) == {1, 5, 8} else prime_form(s),
     )
-    assert _failed_globally() == ["FAIL prime-form-invariance"]
+    # C major is the first set whose T1 image is {1, 5, 8}
+    assert _failed_globally(monkeypatch) == ["FAIL prime-form-invariance: {0, 4, 7}"]
 
 
 def test_a_prime_form_that_ignores_inversion_fails_the_invariance_check(monkeypatch):
@@ -282,7 +330,8 @@ def test_a_prime_form_that_ignores_inversion_fails_the_invariance_check(monkeypa
         "prime_form",
         lambda s: (0, 4, 7) if frozenset(s) in majors else prime_form(s),
     )
-    assert _failed_globally() == ["FAIL prime-form-invariance"]
+    # C minor is the first set whose I0 image, F major, is a major triad
+    assert _failed_globally(monkeypatch) == ["FAIL prime-form-invariance: {0, 3, 7}"]
 
 
 def test_an_interval_vector_wrong_on_one_set_fails_the_invariance_check(monkeypatch):
@@ -292,7 +341,7 @@ def test_an_interval_vector_wrong_on_one_set_fails_the_invariance_check(monkeypa
         "interval_class_vector",
         lambda s: (0, 0, 0, 1, 1, 1) if set(s) == {0, 4, 7} else interval_class_vector(s),
     )
-    assert _failed_globally() == ["FAIL prime-form-invariance"]
+    assert _failed_globally(monkeypatch) == ["FAIL prime-form-invariance: {0, 4, 7}"]
 
 
 def test_a_prime_form_wrong_on_one_inversion_symmetric_set_fails_the_invariance_check(
@@ -304,4 +353,428 @@ def test_a_prime_form_wrong_on_one_inversion_symmetric_set_fails_the_invariance_
     monkeypatch.setattr(
         verify, "prime_form", lambda s: (0, 10) if set(s) == {1, 11} else prime_form(s)
     )
-    assert _failed_globally() == ["FAIL prime-form-invariance"]
+    # {0, 10} is the first set whose T1 image is {1, 11}
+    assert _failed_globally(monkeypatch) == ["FAIL prime-form-invariance: {0, 10}"]
+
+
+def _with_members(r, members):
+    """Region r with these members and its edges between them."""
+    edges = tuple(e for e in r.edges if {e.a, e.b} <= set(members))
+    return dataclasses.replace(r, members=members, edges=edges)
+
+
+def _arthropod_regions_traded(trade):
+    """The arthropod regions with the members of regions 0 and 1 replaced by
+    trade(members of 0, members of 1)."""
+
+    def regions(g):
+        first, second, *rest = arthropod_regions(g)
+        traded = trade(first.members, second.members)
+        return (*map(_with_members, (first, second), traded), *rest)
+
+    return regions
+
+
+def _swap_a_plus_for_a_minus(first, second):
+    # sizes and the tiling hold, but neither region has n chords of each modality
+    plus = next(m for m in first if m.modality is Modality.PLUS)
+    minus = next(m for m in second if m.modality is Modality.MINUS)
+    trade = {plus: minus, minus: plus}
+    return tuple(trade.get(m, m) for m in first), tuple(trade.get(m, m) for m in second)
+
+
+def _move_two_minus_chords(first, second):
+    # region 0 keeps its n (+) chords but has 2n - 2 members; the tiling holds
+    moved = [m for m in first if m.modality is Modality.MINUS][:2]
+    return tuple(m for m in first if m not in moved), second + tuple(moved)
+
+
+def _region_changed(builder, index, change):
+    """builder's regions with region `index` replaced by change(regions, region)."""
+
+    def regions(g):
+        rs = list(builder(g))
+        rs[index] = change(rs, rs[index])
+        return tuple(rs)
+
+    return regions
+
+
+def _relative_edge_relabelled(regions, r):
+    # the first relative edge carries the first arthropod slide's label
+    slide = next(e.transformation for e in r.edges if e.transformation.kind is Kind.ARTHROPOD_SLIDE)
+    first = next(i for i, e in enumerate(r.edges) if e.transformation.kind is Kind.RELATIVE)
+    edges = list(r.edges)
+    edges[first] = edges[first]._replace(transformation=slide)
+    return dataclasses.replace(r, edges=tuple(edges))
+
+
+def _slide_edge_doubled(regions, r):
+    slide = next(e for e in r.edges if e.transformation.kind is not Kind.RELATIVE)
+    return dataclasses.replace(r, edges=r.edges + (slide,))
+
+
+def _without(name):
+    """A region change dropping the chord named `name` and its edges."""
+
+    def change(regions, r):
+        return _with_members(r, tuple(m for m in r.members if m.name() != name))
+
+    return change
+
+
+def _bridge_adjacency_linking(a, b):
+    """adjacency with the chords named `a` and `b` linked in their bridge region."""
+
+    def tampered(r):
+        adj = adjacency(r)
+        if r.kind is RegionKind.BRIDGE:
+            x, y = (next((m for m in adj if m.name() == name), None) for name in (a, b))
+            if x and y:
+                _link(adj, x, y)
+        return adj
+
+    return tampered
+
+
+def _complementarity_as(change):
+    return lambda g: change(complementarity_pairs(g))
+
+
+def _wrong_on(names, answer):
+    """vl_relation answering `answer` on the pairs whose chord names are `names`."""
+    return lambda x, y: answer if (x.name(), y.name()) in names else vl_relation(x, y)
+
+
+def _polar_as(names):
+    """polar sending the chords named in `names` where it says."""
+    return lambda c: parse_chord(names[c.name()], c.genus) if c.name() in names else polar(c)
+
+
+def _flipped(direction):
+    return {"down": "up", "up": "down"}[Direction(direction).value]
+
+
+_same_region = verify._same_region
+
+# (verify attributes and their replacements, genus or None for the global
+# checks, the exact FAIL lines): each check has at least one, and each
+# conjunct of a check that another one does not already make fail
+CHECK_TAMPERS = [
+    pytest.param(
+        {"generators_of_z12": lambda: {1, 5, 7}}, None,
+        ["FAIL z12-generators: 11"], id="z12-generators",
+    ),
+    pytest.param(
+        # 5's walk stays on its start
+        {"cycle_from_generator": lambda g, s=0: (s,) * 12 if g == 5 else cycle_from_generator(g, s)},
+        None, ["FAIL z12-generators: 5"], id="z12-unit-cycles",
+    ),
+    pytest.param(
+        {"cycle_from_generator": lambda g, start=0: () if g == 2 else cycle_from_generator(g, start)},
+        None, ["FAIL z12-generators: 2"], id="z12-refusal",
+    ),
+    pytest.param(
+        {"FORTE_NAMES": {**FORTE_NAMES, (0, 4, 7): "3-11"}}, None,
+        ["FAIL forte-table: (0, 4, 7)"], id="forte-table",
+    ),
+    pytest.param(
+        {"symmetric_partition": lambda n: (*symmetric_partition(n)[:-1], symmetric_partition(n)[0])}, 3,
+        ["FAIL partition-structure [n=3]: {0, 4, 8}"], id="partition-structure",
+    ),
+    pytest.param(
+        # an empty domain fails by name instead of holding vacuously
+        {"symmetric_partition": lambda n: ()}, 3,
+        ["FAIL partition-structure [n=3]: no cases", "FAIL inversional-pairing [n=3]: no cases"],
+        id="no-cases",
+    ),
+    pytest.param(
+        {"all_chords": lambda g: all_chords(g) + all_chords(g)[:1]}, 3,
+        ["FAIL chord-universe [n=3]: C+"], id="chord-universe",
+    ),
+    pytest.param(
+        # perturb goes the other way when handed a Direction, as
+        # parent_symmetric_cell gives it: only the chords' round trip breaks
+        {"perturb": lambda cell, note, d: perturb(cell, note, d if isinstance(d, str) else _flipped(d))},
+        3, ["FAIL perturbation-roundtrip [n=3]: C+"], id="roundtrip-chords",
+    ),
+    pytest.param(
+        # both directions swapped: every round trip holds, but "down" gives a (-) chord
+        {
+            "perturb": lambda cell, note, d: perturb(cell, note, _flipped(d)),
+            "parent_symmetric_cell": lambda c: parent_symmetric_cell(c)._replace(
+                direction=Direction(_flipped(parent_symmetric_cell(c).direction))
+            ),
+        },
+        3, ["FAIL perturbation-roundtrip [n=3]: ({0, 4, 8}, 0, down)"], id="roundtrip-modality",
+    ),
+    pytest.param(
+        {"invert": lambda s, axis=0: frozenset(s)}, 3,
+        ["FAIL inversional-pairing [n=3]: ({0, 4, 8}, 0)"], id="inversional-pairing",
+    ),
+    pytest.param(
+        {"vl_relation": _wrong_on({("C+", "C+")}, VoiceLeading(0, 1))}, 3,
+        ["FAIL vl-identity [n=3]: C+", "FAIL vl-oracle-agreement [n=3]: (C+, C+)"],
+        id="vl-identity",
+    ),
+    pytest.param(
+        {"vl_relation": _wrong_on({("C+", "D+")}, VoiceLeading(0, 1))}, 3,
+        ["FAIL vl-symmetry [n=3]: (C+, D+)", "FAIL vl-oracle-agreement [n=3]: (C+, D+)"],
+        id="vl-symmetry",
+    ),
+    pytest.param(
+        {"arthropod_regions": _arthropod_regions_traded(_swap_a_plus_for_a_minus)}, 3,
+        [
+            "FAIL arthropod-partition [n=3]: (waterbug region 0, D-)",
+            "FAIL arthropod-counting [n=3]: (waterbug region 0, D-)",
+            "FAIL region-degrees [n=3]: waterbug region 0",
+        ],
+        id="partition-modality-balance",
+    ),
+    pytest.param(
+        {"arthropod_regions": _arthropod_regions_traded(_move_two_minus_chords)}, 3,
+        [
+            "FAIL arthropod-partition [n=3]: (waterbug region 0, E+)",
+            "FAIL arthropod-counting [n=3]: (waterbug region 0, E+)",
+            "FAIL region-degrees [n=3]: waterbug region 0",
+        ],
+        id="partition-region-size",
+    ),
+    pytest.param(
+        {"arthropod_regions": lambda g: arthropod_regions(g) + arthropod_regions(g)[:1]}, 3,
+        ["FAIL arthropod-partition [n=3]: (waterbug region 0, E+)"], id="partition-tiling",
+    ),
+    pytest.param(
+        # a fifth region, with no members and no edges: every chord is still
+        # listed once
+        {
+            "arthropod_regions": lambda g: arthropod_regions(g)
+            + (dataclasses.replace(arthropod_regions(g)[0], id=4, members=(), edges=()),)
+        },
+        3,
+        [
+            "FAIL arthropod-partition [n=3]: (waterbug region 0, E+)",
+            "FAIL region-degrees [n=3]: waterbug region 4",
+        ],
+        id="partition-region-count",
+    ),
+    pytest.param(
+        # C+ - E+ is the lone across-modality member C+ lacks without E-,
+        # an edge that keeps the modality restores its degree: only the
+        # count of opposite-modality members tells graph-shape
+        {
+            "bridge_regions": _region_changed(bridge_regions, 0, _without("E-")),
+            "adjacency": _bridge_adjacency_linking("C+", "E+"),
+        },
+        3,
+        [
+            "FAIL bridge-partition [n=3]: (hexatonic region 0, C+)",
+            "FAIL bridge-counting [n=3]: (hexatonic region 0, C+)",
+            "FAIL region-degrees [n=3]: hexatonic region 0",
+            "FAIL graph-shape [n=3]: (hexatonic region 0, C+)",
+            "FAIL cycle-counts [n=3]: hexatonic region 0: found {}, expected {6: 1}",
+            "FAIL cycle-structure [n=3]: hexatonic region 0 has no cycle of length 6",
+        ],
+        id="graph-shape-opposite-members",
+    ),
+    pytest.param(
+        # C+ and A- are relatives: P0,1 read as P1,0
+        {"vl_relation": _wrong_on({("C+", "A-"), ("A-", "C+")}, VoiceLeading(1, 0))}, 3,
+        [
+            "FAIL vl-oracle-agreement [n=3]: (C+, A-)",
+            "FAIL arthropod-counting [n=3]: (waterbug region 0, C+)",
+            "FAIL relation-conformance [n=3]: (R, C+)",
+        ],
+        id="arthropod-counting-relative",
+    ),
+    pytest.param(
+        # C+ and C#- are S-related: P2,0 read as P1,0
+        {"vl_relation": _wrong_on({("C+", "C#-"), ("C#-", "C+")}, VoiceLeading(1, 0))}, 3,
+        [
+            "FAIL vl-oracle-agreement [n=3]: (C+, C#-)",
+            "FAIL arthropod-counting [n=3]: (waterbug region 0, C#-)",
+            "FAIL relation-conformance [n=3]: (S, C+)",
+        ],
+        id="arthropod-counting-slides",
+    ),
+    pytest.param(
+        # C+ and C- are P-related: the bridge slide's P1,0 read as P0,1
+        {"vl_relation": _wrong_on({("C+", "C-"), ("C-", "C+")}, VoiceLeading(0, 1))}, 3,
+        [
+            "FAIL vl-oracle-agreement [n=3]: (C+, C-)",
+            "FAIL bridge-counting [n=3]: (hexatonic region 0, C+)",
+            "FAIL relation-conformance [n=3]: (P, C+)",
+        ],
+        id="bridge-counting",
+    ),
+    pytest.param(
+        # R sends A- to E+, not back to C+
+        {"apply": lambda t, c: _chord("E+", 3) if (t.token, c.name()) == ("R", "A-") else apply(t, c)},
+        3,
+        [
+            "FAIL involution [n=3]: (R, C+)",
+            "FAIL relation-conformance [n=3]: (R, A-)",
+            "FAIL catalog-coverage [n=3]: A-",
+        ],
+        id="involution",
+    ),
+    pytest.param(
+        {"apply": lambda t, c: c if (t.token, c.name()) == ("R", "C+") else apply(t, c)}, 3,
+        [
+            "FAIL involution [n=3]: (R, A-)",
+            "FAIL modality-swap [n=3]: (R, C+)",
+            "FAIL relation-conformance [n=3]: (R, C+)",
+            "FAIL catalog-coverage [n=3]: C+",
+        ],
+        id="modality-swap",
+    ),
+    pytest.param(
+        {"_same_region": lambda t, c, im: _same_region(t, c, im) and (t.token, c.name()) != ("R", "C+")},
+        3, ["FAIL region-closure [n=3]: (R, C+)"], id="region-closure",
+    ),
+    pytest.param(
+        {"set_class": lambda s: SetClass((), None) if len(set(s)) == 6 else set_class(s)}, 3,
+        ["FAIL bridge-pitch-unions [n=3]: hexatonic region 0"], id="bridge-pitch-unions",
+    ),
+    pytest.param(
+        # region 1 reports region 0's union: the set class holds, but the
+        # unions coincide and region 1's full cycle misses its listed union
+        {
+            "bridge_regions": _region_changed(
+                bridge_regions, 1, lambda rs, r: dataclasses.replace(r, pitch_union=rs[0].pitch_union)
+            )
+        },
+        3, [
+            "FAIL bridge-pitch-unions [n=3]: hexatonic region 0",
+            "FAIL cycle-structure [n=3]: cycle C#+ C#- A+ A- F+ F-:"
+            " it misses part of the region's pitch union",
+        ],
+        id="bridge-pitch-unions-apart",
+    ),
+    pytest.param(
+        {"bridge_regions": _region_changed(bridge_regions, 0, _slide_edge_doubled)}, 3,
+        ["FAIL region-degrees [n=3]: hexatonic region 0"], id="region-degrees-bridge-edges",
+    ),
+    pytest.param(
+        {"arthropod_regions": _region_changed(arthropod_regions, 0, _slide_edge_doubled)}, 3,
+        ["FAIL region-degrees [n=3]: waterbug region 0"], id="region-degrees-arthropod-edges",
+    ),
+    pytest.param(
+        {"arthropod_regions": _region_changed(arthropod_regions, 0, _relative_edge_relabelled)}, 3,
+        ["FAIL region-degrees [n=3]: waterbug region 0"], id="region-degrees-relatives",
+    ),
+    pytest.param(
+        # the last pair is dropped without being listed as unpaired
+        {"complementarity_pairs": _complementarity_as(lambda comp: comp._replace(pairs=comp.pairs[:-1]))},
+        3, ["FAIL complementarity [n=3]: N"], id="complementarity-paired",
+    ),
+    pytest.param(
+        {"complementarity_pairs": _complementarity_as(lambda comp: comp._replace(unpaired=("S",)))},
+        3, ["FAIL complementarity [n=3]: S"], id="complementarity-unpaired",
+    ),
+    pytest.param(
+        # the paper's pair read the other way round
+        {
+            "complementarity_pairs": _complementarity_as(
+                lambda comp: comp._replace(pairs=tuple(pair[::-1] for pair in comp.pairs))
+            )
+        },
+        3, ["FAIL complementarity [n=3]: S"], id="complementarity-expected-pair",
+    ),
+    pytest.param(
+        # C+ and C- are each other's pole, though they share pitch classes
+        {"polar": _polar_as({"C+": "C-", "C-": "C+"})}, 3,
+        ["FAIL polar-disjointness [n=3]: C+"], id="polar-disjointness",
+    ),
+    pytest.param(
+        # G#- is C+'s pole, but its own pole is G#-
+        {"polar": _polar_as({"G#-": "G#-"})}, 3,
+        ["FAIL polar-disjointness [n=3]: C+"], id="polar-involution",
+    ),
+    pytest.param(
+        {"transformation_between": lambda x, y: None if x.name() == "C+" else transformation_between(x, y)},
+        3, ["FAIL catalog-coverage [n=3]: C+"], id="catalog-coverage-round-trip",
+    ),
+    pytest.param(
+        # H sends each chord to its P image, labelled with P's relation: only
+        # the poles' disjointness, and the doubled image, can tell
+        {
+            "apply": lambda t, c: apply(transformation("P", c.genus) if t.kind is Kind.POLAR else t, c),
+            "catalog_relation": lambda t: catalog_relation(
+                transformation("P", t.genus) if t.kind is Kind.POLAR else t
+            ),
+        },
+        3,
+        ["FAIL relation-conformance [n=3]: (H, C+)", "FAIL catalog-coverage [n=3]: C+"],
+        id="relation-conformance-poles",
+    ),
+]
+
+
+@pytest.mark.parametrize(("tampers", "n", "lines"), CHECK_TAMPERS)
+def test_a_tampered_claim_fails_naming_its_first_failing_case(monkeypatch, tampers, n, lines):
+    for attribute, replacement in tampers.items():
+        monkeypatch.setattr(verify, attribute, replacement)
+    assert (_failed_globally(monkeypatch) if n is None else _failed(n)) == lines
+
+
+@pytest.fixture(scope="module")
+def claims():
+    """Each genus's claims as name -> (cases, holds), built on first use."""
+    built = {}
+
+    def of(n):
+        if n not in built:
+            built[n] = {name: (cases, holds) for name, cases, holds in verify._genus_claims(n)}
+        return built[n]
+
+    return of
+
+
+def _chord(name, n):
+    return parse_chord(name, genus(n))
+
+
+def _stand_in(name, n, root, pitch_classes=None):
+    """A chord-like case no honest library builds: `name`'s chord with
+    another root, or other pitch classes."""
+    c = _chord(name, n)
+    pcs = c.pitch_classes() if pitch_classes is None else frozenset(pitch_classes)
+    return SimpleNamespace(root=root, pitch_classes=lambda: pcs, modality=c.modality)
+
+
+def _in_bridge_region(name, n, without_pole=False):
+    """(bridge region of `name`'s chord, the chord); the region stand-in
+    lacks the chord's pole when asked."""
+    c = _chord(name, n)
+    r = region_of(c, RegionKind.BRIDGE)
+    if without_pole:
+        r = SimpleNamespace(members=tuple(m for m in r.members if m != polar(c)))
+    return r, c
+
+
+# Cases no honest library produces, each breaking one conjunct of a claim
+# that a tamper through run_checks cannot reach without raising first
+# (perturb refuses a cell that is not symmetric): the claim's predicate is
+# asked directly, beside an honest case it accepts.  Each is (genus, claim,
+# the bad case, the honest case), the cases built on first use.
+HAND_MADE_CASES = [
+    pytest.param(3, "partition-structure", lambda: frozenset({0, 4, 9}), lambda: frozenset({0, 4, 8}),
+                 id="cell-not-transposition-invariant"),
+    pytest.param(4, "partition-structure", lambda: frozenset({0, 1, 3, 4, 6, 7, 9, 10}),
+                 lambda: frozenset({0, 3, 6, 9}), id="invariant-cell-of-eight"),
+    pytest.param(3, "chord-universe", lambda: _stand_in("C+", 3, 0, {0, 4, 7, 10}), lambda: _chord("C+", 3),
+                 id="four-note-triad"),
+    # C+'s pitch classes, whose semitone pair C-C# is rooted on C, with root C#
+    pytest.param(6, "chord-universe", lambda: _stand_in("C+", 6, 1), lambda: _chord("C+", 6),
+                 id="hexachord-rooted-off-its-semitone-pair"),
+    pytest.param(3, "bridge-counting", lambda: _in_bridge_region("C+", 3, without_pole=True),
+                 lambda: _in_bridge_region("C+", 3), id="no-pole"),
+]
+
+
+@pytest.mark.parametrize(("n", "claim", "bad", "honest"), HAND_MADE_CASES)
+def test_a_claim_rejects_a_case_no_honest_library_builds(claims, n, claim, bad, honest):
+    _, holds = claims(n)[claim]
+    assert holds(honest())
+    assert not holds(bad())
