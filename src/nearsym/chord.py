@@ -42,10 +42,6 @@ class Modality(Enum):
     PLUS = "+"
     MINUS = "-"
 
-    @property
-    def opposite(self) -> "Modality":
-        return Modality.MINUS if self is Modality.PLUS else Modality.PLUS
-
     def __str__(self) -> str:
         return self.value
 
@@ -171,24 +167,20 @@ def parse_chord(text: str, g: Genus) -> Chord:
     s = text.strip()
     if len(s) < 2 or s[-1] not in ("+", "-"):
         raise ChordParseError(f"chord text must end in '+' or '-': {text!r}")
-    return Chord(g, parse_note(s[:-1]), Modality(s[-1]))
+    return all_chords(g)[2 * parse_note(s[:-1]) + (s[-1] == "-")]
+
+
+@cache
+def all_chords(g: Genus) -> tuple[Chord, ...]:
+    """The table of a genus's 24 chords, roots ascending, (+) before (-), so
+    chord (root, m) sits at index ``2*root + (m is MINUS)``.  Built once;
+    ``parse_chord``, ``find_chord`` and ``apply`` return its entries."""
+    return tuple(Chord(g, root, modality) for root in range(12) for modality in Modality)
 
 
 @cache
 def _chords_by_pitch_classes(g: Genus) -> dict[PcSet, Chord]:
-    table: dict[PcSet, Chord] = {}
-    for root in range(12):
-        for modality in Modality:
-            c = Chord(g, root, modality)
-            table[c.pitch_classes()] = c
-    return table
-
-
-def all_chords(g: Genus) -> tuple[Chord, ...]:
-    """All 24 chords of a genus, roots ascending, (+) before (-)."""
-    return tuple(
-        Chord(g, root, modality) for root in range(12) for modality in Modality
-    )
+    return {c.pitch_classes(): c for c in all_chords(g)}
 
 
 def find_chord(s: Iterable[int], g: Genus) -> Chord | None:

@@ -88,6 +88,10 @@ class Region:
             return HEXATONIC_ALIASES[self.id]
         return None
 
+    def __hash__(self) -> int:
+        # agrees with __eq__, since equal regions share kind, genus and id
+        return hash((self.genus.n, self.id, self.kind is RegionKind.BRIDGE))
+
     def __repr__(self) -> str:
         return f"Region({self.family}_{self.id}, {len(self.members)} chords)"
 
@@ -162,9 +166,8 @@ def region_of(c: Chord, kind: RegionKind) -> Region:
 
 def polar(c: Chord) -> Chord:
     """The opposite-modality member of c's bridge region disjoint from c,
-    reached by the genus's pole transformation (H, O, or Z)."""
-    pole = next(t for t in catalog(c.genus) if t.kind is Kind.POLAR)
-    return apply(pole, c)
+    reached by the genus's pole (H, O, or Z), its catalog's last token."""
+    return apply(catalog(c.genus)[-1], c)
 
 
 def adjacency(region: Region) -> dict[Chord, set[Chord]]:

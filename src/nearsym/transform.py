@@ -26,7 +26,8 @@ Each of these moves is defined relative to the symmetric partition, so it
 commutes with transposition: the image of a chord is the chord of opposite
 modality whose root lies a fixed offset away, up from a (+) chord and down
 from a (-) chord.  The catalog is therefore stored as data, 26
-transposition-equivariant root offsets, and ``apply`` is arithmetic.
+transposition-equivariant root offsets, and ``apply`` is arithmetic on
+the index of the chord table ``chord.all_chords``; it builds no chord.
 ``verify`` re-derives every offset from the definitions above: the
 partition-and-shift search for slides, the whole-tone relation for
 relatives, and pitch-class disjointness for poles.
@@ -44,6 +45,7 @@ from .chord import (
     GENERA,
     Genus,
     Modality,
+    all_chords,
     arthropod_collection,
     parent_symmetric_cell,
 )
@@ -132,7 +134,7 @@ _ROWS: dict[int, tuple[tuple[str, Kind, SlidePart, SlidePart, int], ...]] = {
 @cache
 def catalog(g: Genus) -> tuple[Transformation, ...]:
     """The closed transformation list for a genus: relative, arthropod
-    slides, bridge slides, pole."""
+    slides, bridge slides, pole; ``region.polar`` reads the pole last."""
     return tuple(Transformation(g, *row) for row in _ROWS[g.n])
 
 
@@ -171,12 +173,11 @@ def arthropod_members(c: Chord) -> tuple[Chord, ...]:
 
 
 def bridge_members(c: Chord) -> tuple[Chord, ...]:
-    """Both-modality chords whose roots share c's root cell, (+) block first."""
+    """Both-modality chords whose roots share c's root cell, (+) block first:
+    every 12/n-th root of the chord table, from the cell's lowest root."""
     step = 12 // c.genus.n
-    roots = [c.root % step + k * step for k in range(c.genus.n)]
-    return tuple(
-        Chord(c.genus, root, modality) for modality in Modality for root in roots
-    )
+    chords, first = all_chords(c.genus), 2 * (c.root % step)
+    return chords[first::2 * step] + chords[first + 1::2 * step]
 
 
 @cache
@@ -184,18 +185,18 @@ def apply(t: Transformation, c: Chord) -> Chord:
     """Transform c by the named involution: move the root by the token's
     offset, up from a (+) chord and down from a (-) chord, and swap modality."""
     if t.genus != c.genus:
-        raise GenusMismatchError(
-            f"cannot apply {t.token} (n={t.genus.n}) to {c} (n={c.genus.n})"
-        )
-    offset = t.offset if c.modality is Modality.PLUS else -t.offset
-    return Chord(c.genus, c.root + offset, c.modality.opposite)
+        raise GenusMismatchError(f"cannot apply {t.token} (n={t.genus.n}) to {c} (n={c.genus.n})")
+    plus = c.modality is Modality.PLUS
+    root = c.root + t.offset if plus else c.root - t.offset
+    return all_chords(c.genus)[2 * (root % 12) + plus]
 
 
 def transformation_between(x: Chord, y: Chord) -> Transformation | None:
     """The unique catalog transformation sending x to y, if any exists."""
-    if x.genus != y.genus:
+    if x.genus is not y.genus and x.genus != y.genus:
         raise GenusMismatchError(f"cannot compare {x} (n={x.genus.n}) with {y} (n={y.genus.n})")
-    hits = [t for t in catalog(x.genus) if apply(t, x) == y]
+    y = all_chords(y.genus)[2 * y.root + (y.modality is Modality.MINUS)]
+    hits = [t for t in catalog(x.genus) if apply(t, x) is y]  # apply returns table entries
     if len(hits) > 1:
         raise InvariantViolationError(
             f"{len(hits)} transformations connect {x} to {y}: {[t.token for t in hits]}"

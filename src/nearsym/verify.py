@@ -354,8 +354,7 @@ def _genus_claims(n: int) -> list[Claim]:
     regions = {RegionKind.ARTHROPOD: arthropod_regions(g), RegionKind.BRIDGE: bridge_regions(g)}
     bridge = regions[RegionKind.BRIDGE]
     members = {kind: [(r, m) for r in rs for m in r.members] for kind, rs in regions.items()}
-    # keyed by identity, because a region's hash walks all its edges
-    adj = {id(r): adjacency(r) for rs in regions.values() for r in rs}
+    adj = {r: adjacency(r) for rs in regions.values() for r in rs}
     pairs = [(x, y) for x in chords for y in chords]
     moves = [(t, c) for t in cat for c in chords]
     notes = [(cell, note) for cell in cells for note in cell]
@@ -434,7 +433,7 @@ def _genus_claims(n: int) -> list[Claim]:
         degree = n - 1 if r.kind is RegionKind.BRIDGE else n
         relatives = Counter(m for e in r.edges if e.transformation.kind is Kind.RELATIVE for m in {e.a, e.b})
         ones = r.kind is RegionKind.BRIDGE or all(relatives[m] == 1 for m in r.members)
-        return len(r.edges) == n * degree and ones and all(len(adj[id(r)][m]) == degree for m in r.members)
+        return len(r.edges) == n * degree and ones and all(len(adj[r][m]) == degree for m in r.members)
 
     # Every bridge graph is the crown graph on n + n chords: K(n,n) across
     # the modalities minus the perfect matching of polar pairs.  Each member
@@ -444,7 +443,7 @@ def _genus_claims(n: int) -> list[Claim]:
     # hexagon C6, for n = 4 the cube Q3.
     def crown(case: tuple[Region, Chord]) -> bool:
         r, m = case
-        across, neighbours = set(opposite(r, m)), adj[id(r)][m]
+        across, neighbours = set(opposite(r, m)), adj[r][m]
         return len(across) == n and len(neighbours) == n - 1 and len(across - neighbours) == 1
 
     def polar_pair(c: Chord) -> bool:

@@ -86,6 +86,9 @@ def _relation(g: Genus, xm: Modality, ym: Modality, diff: int) -> VoiceLeading |
 
 def ssd_neighbors(x: Chord) -> tuple[Chord, ...]:
     """Same-genus chords reachable by moving exactly one voice one semitone:
-    x's images under the P1,0 tokens, the triad bridge slides P and L."""
-    images = (apply(t, x) for t in catalog(x.genus) if catalog_relation(t) == (1, 0))
+    x's images under the P1,0 tokens.  Bridge slides are P(n-2),0, so these
+    are the triad bridge slides P and L, and n=4 and n=6 have none."""
+    if x.genus.n != 3:
+        return ()
+    images = (apply(t, x) for t in catalog(x.genus) if t.kind is Kind.BRIDGE_SLIDE)
     return tuple(sorted(images, key=lambda c: c.sort_key))

@@ -24,6 +24,7 @@ from nearsym.errors import (
 )
 from nearsym.pcset import invert
 from nearsym.symmetry import symmetric_partition
+from nearsym.transform import apply, catalog
 
 G3, G4, G6 = genus(3), genus(4), genus(6)
 
@@ -174,6 +175,35 @@ def test_chord_hash_follows_the_reduced_root():
             assert hash(lifted) == hash(c)
     # the hash is no dataclass field, so repr, eq and fields() keep their shape
     assert [f.name for f in dataclasses.fields(Chord)] == ["genus", "root", "modality"]
+
+
+def test_the_chord_table_holds_chord_root_m_at_twice_root_plus_the_minus_bit():
+    for g in (G3, G4, G6):
+        table = all_chords(g)
+        assert all_chords(g) is table and len(table) == 24
+        for root in range(12):
+            for m in Modality:
+                assert table[2 * root + (m is Modality.MINUS)] == Chord(g, root, m)
+
+
+def test_lookups_return_the_table_entries_themselves():
+    for g in (G3, G4, G6):
+        table = all_chords(g)
+        for c in table:
+            assert parse_chord(c.name(), g) is c
+            assert parse_chord(c.name(flats=True), g) is c
+            assert find_chord(c.pitch_classes(), g) is c
+            for t in catalog(g):
+                image = apply(t, c)
+                assert image is table[table.index(image)]
+
+
+def test_the_public_constructor_builds_a_new_equal_chord():
+    c = Chord(G6, 14, Modality.MINUS)
+    entry = all_chords(G6)[2 * 2 + 1]
+    assert c is not entry
+    assert (c.genus, c.root, c.modality) == (G6, 2, Modality.MINUS)
+    assert c == entry and hash(c) == hash(entry)
 
 
 def test_rebuilt_genus_equals_and_hashes_like_the_original():

@@ -36,6 +36,17 @@ def test_catalog_contents():
     ]
 
 
+def test_the_catalog_facts_the_hot_path_reads():
+    # polar reads the pole as the catalog's last token, and ssd_neighbors
+    # applies the bridge slides of n=3 only, as the P1,0 tokens
+    for g in ALL_GENERA:
+        cat = catalog(g)
+        assert [t for t in cat if t.kind is Kind.POLAR] == [cat[-1]]
+        semitone = [t for t in cat if catalog_relation(t) == (1, 0)]
+        assert semitone == [t for t in cat if g.n == 3 and t.kind is Kind.BRIDGE_SLIDE]
+    assert tokens(G3, Kind.BRIDGE_SLIDE) == ["P", "L"]
+
+
 def test_catalog_kind_counts():
     for g, slides in ((G3, 2), (G4, 3), (G6, 5)):
         assert len(tokens(g, Kind.RELATIVE)) == 1
