@@ -9,10 +9,12 @@ read from its smallest chord toward its smaller neighbour.
 
 The bridge regions of a genus are transpositions of one another, so with
 their chords numbered in sort_key order they have the same graph.  The walk
-is keyed by the neighbour masks and the length window, not by the region,
-and keeps its last answer only: regions of one genus asked one after another
-(verify's pass over them) share one walk, and one entry costs at most the
-2 MB of the full n=6 walk, where a cache of every window would grow to 36 MB.
+is kept per graph, keyed by the neighbour masks, not by the region or the
+length window: one entry holds the widest window walked so far on the last
+graph, its cycles grouped by length, and every window inside it is a slice.
+Regions of one genus asked one after another (verify's pass over them) share
+one walk, and once a graph's full walk is kept no window of it walks again.
+The entry costs at most the 2 MB of the full n=6 walk.
 
 The cycle walk runs over integer ids in sort_key order.  Each id has a
 neighbour bitmask, and a ``free`` mask holds the unvisited ids above the
@@ -36,8 +38,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, lru_cache
-from itertools import chain
+from functools import cache
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .chord import Chord, Genus, Modality, arthropod_collection, parent_symmetric_cell
@@ -255,14 +257,51 @@ def smooth_cycle_ids(
     return chords, _walk(nbm, min_len, max_len)
 
 
-# One entry, not an unbounded cache: the full n=6 walk holds 2 MB, but the
-# walks of all 45 length windows of an n=6 region hold 36 MB (tracemalloc).
-# The bridge regions of a genus share one graph, so one entry serves
-# verify's pass over them and a repeated window of ``nearsym cycles``.
-@lru_cache(maxsize=1)
+class _Walked(NamedTuple):
+    """The cycles of one graph over the length window [lo, hi], in
+    ``smooth_cycle_ids`` order: those of length lo + k are
+    cycles[starts[k]:starts[k + 1]]."""
+
+    nbm: tuple[int, ...]
+    lo: int
+    hi: int
+    cycles: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
+
+    def window(self, min_len: int, max_len: int) -> tuple[tuple[int, ...], ...]:
+        return self.cycles[self.starts[min_len - self.lo] : self.starts[max_len - self.lo + 1]]
+
+
+# The widest window walked so far on the last graph.  The bridge regions of a
+# genus share one graph, so this one entry serves verify's pass over them and,
+# once the full walk is kept, every window of ``nearsym cycles`` with no walk.
+# It costs at most the 2 MB of the full n=6 walk.
+_widest: _Walked | None = None
+
+
 def _walk(nbm: tuple[int, ...], min_len: int, max_len: int) -> tuple[tuple[int, ...], ...]:
     """Every cycle, as ids, of the graph whose id i has neighbour mask
-    nbm[i], with length in [min_len, max_len], in ``smooth_cycle_ids`` order."""
+    nbm[i], with length in [min_len, max_len], in ``smooth_cycle_ids`` order.
+    A window inside the kept entry is sliced from it.  Another graph walks
+    just the window asked for; the same graph outside the entry walks the
+    union of the two windows, which replaces the entry."""
+    global _widest
+    walked = _widest
+    if walked is None or walked.nbm != nbm:
+        lo, hi = min_len, max_len
+    elif walked.lo <= min_len and max_len <= walked.hi:
+        return walked.window(min_len, max_len)
+    else:
+        lo, hi = min(walked.lo, min_len), max(walked.hi, max_len)
+    # drop the old entry first, so that it and the new walk are never both alive
+    walked = _widest = None
+    walked = _widest = _walk_window(nbm, lo, hi)
+    return walked.window(min_len, max_len)
+
+
+def _walk_window(nbm: tuple[int, ...], min_len: int, max_len: int) -> _Walked:
+    """Walks the graph whose id i has neighbour mask nbm[i] for its cycles
+    with length in [min_len, max_len]."""
     size = len(nbm)
     bits = _bit_lists(size)
 
@@ -282,7 +321,8 @@ def _walk(nbm: tuple[int, ...], min_len: int, max_len: int) -> tuple[tuple[int, 
             path = [start, second]
             _extend(path, free ^ (1 << second), nbm, bits, ends, min_len, max_len, found)
 
-    return tuple(chain.from_iterable(found))
+    starts = tuple(accumulate(map(len, found[min_len:]), initial=0))
+    return _Walked(nbm, min_len, max_len, tuple(chain.from_iterable(found)), starts)
 
 
 def enumerate_smooth_cycles(

@@ -76,8 +76,12 @@ class Transformation:
     moved: SlidePart = None
     offset: int = 0  # image root minus source root, for a (+) source
 
+    def __post_init__(self) -> None:
+        # fixed at construction, as Chord's is: apply's cache hashes its key
+        object.__setattr__(self, "_hash", hash((self.genus.n, self.token)))
+
     def __hash__(self) -> int:
-        return hash((self.genus.n, self.token))
+        return self._hash
 
     def __str__(self) -> str:
         return self.token

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import random
 from collections import Counter
 
 import networkx as nx
@@ -186,7 +187,7 @@ def test_cycle_counts_match_the_closed_form(bridge_cycle_oracle):
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_length_window_filters_the_full_enumeration(n):
     # Regions inside windows: the bridge regions of a genus share one graph,
-    # so the one-entry walk cache serves each window to all of them.
+    # so after the first full walk every window is a slice of the kept walk.
     full = {r: smooth_cycle_ids(r) for r in bridge_regions(genus(n))}
     for lo in range(4, 2 * n + 1):
         for hi in range(lo, 2 * n + 1):
@@ -195,19 +196,89 @@ def test_length_window_filters_the_full_enumeration(n):
                 assert smooth_cycle_ids(r, lo, hi) == (chords, expected), (r, lo, hi)
 
 
+@pytest.fixture
+def counted_walks(monkeypatch):
+    """Empties the kept cycle walk and lists the (min_len, max_len) window of
+    every walk made from then on."""
+    walks = []
+    real = region_module._walk_window
+
+    def walk_window(nbm, min_len, max_len):
+        walks.append((min_len, max_len))
+        return real(nbm, min_len, max_len)
+
+    monkeypatch.setattr(region_module, "_walk_window", walk_window)
+    monkeypatch.setattr(region_module, "_widest", None)
+    return walks
+
+
+def _windows(n):
+    return [(lo, hi) for lo in range(4, 2 * n + 1) for hi in range(lo, 2 * n + 1)]
+
+
+# the windows of the benchmark's cycles-dodecatonic decks
+DECK_WINDOWS = [(4, 5), (6, 7), (4, 9), (12, 12)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_each_window_walked_cold_filters_the_full_enumeration(counted_walks, n):
+    # With the kept walk emptied before each window, every window is walked
+    # on its own, through the walk's start pruning and last-vertex shortcut.
+    region = bridge_regions(genus(n))[0]
+    chords, full = smooth_cycle_ids(region)
+    windows = DECK_WINDOWS if n == 6 else _windows(n)
+    for lo, hi in windows:
+        region_module._widest = None
+        expected = tuple(cyc for cyc in full if lo <= len(cyc) <= hi)
+        assert smooth_cycle_ids(region, lo, hi) == (chords, expected), (lo, hi)
+    assert counted_walks == [(4, 2 * n), *windows]
+
+    # once the full walk of the graph is kept, no window of it walks again
+    del counted_walks[:]
+    smooth_cycle_ids(region)
+    for r in bridge_regions(genus(n)):
+        for lo, hi in _windows(n):
+            smooth_cycle_ids(r, lo, hi)
+    assert counted_walks == [(4, 2 * n)]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_shuffled_windows_get_the_window_asked_not_the_walk_widened(counted_walks, n):
+    # A window outside the kept walk widens it to the union of the two; the
+    # answer must still be the window asked.  Ascending or descending sweeps
+    # only ever ask the union itself or a window inside the walk, so the
+    # windows come in a seeded shuffle: every window once at n=4, draws with
+    # repeats at n=6.
+    regions = bridge_regions(genus(n))
+    full = {r: smooth_cycle_ids(r) for r in regions}
+    region_module._widest = None
+    del counted_walks[:]
+    rng = random.Random(6)
+    windows = _windows(n)
+    asked = rng.sample(windows, len(windows)) if n == 4 else rng.choices(windows, k=60)
+    widened = 0
+    for lo, hi in asked:
+        r = rng.choice(regions)
+        chords, cycles = full[r]
+        expected = tuple(cyc for cyc in cycles if lo <= len(cyc) <= hi)
+        walks_before = len(counted_walks)
+        assert smooth_cycle_ids(r, lo, hi) == (chords, expected), (lo, hi)
+        widened += counted_walks[walks_before:] not in ([], [(lo, hi)])
+    assert widened, "the shuffle never widened the kept walk"
+
+
 def _garbage_after(call, *args):
     gc.collect()
     call(*args)
     return gc.collect()
 
 
-def test_cycle_walk_leaves_no_garbage():
+def test_cycle_walk_leaves_no_garbage(counted_walks):
     # A walk that holds its results in reference cycles keeps every cycle
     # list alive until the collector runs, which doubles peak memory.  The
-    # walk is memoised, so its cache is emptied first: a hit walks nothing.
-    region_module._walk.cache_clear()
+    # walk is kept, so the fixture empties it first: a kept walk walks nothing.
     assert _garbage_after(smooth_cycle_ids, bridge_regions(G6)[0]) == 0
-    assert region_module._walk.cache_info().misses == 1
+    assert counted_walks == [(4, 12)]
 
 
 def test_vl_relation_leaves_no_garbage():

@@ -82,39 +82,30 @@ def _apply(token, chord_text, g):
     return str(apply(transformation(token, g), parse_chord(chord_text, g)))
 
 
+def _assert_both_legs(g, images):
+    # each token sends C+ up its offset to the image, and the image, a (-)
+    # chord, back down the same offset to C+
+    for token, image in images.items():
+        assert _apply(token, "C+", g) == image, token
+        assert _apply(token, image, g) == "C+", token
+
+
 def test_triad_transformations():
-    assert _apply("R", "C+", G3) == "A-"
-    assert _apply("S", "C+", G3) == "C#-"
-    assert _apply("N", "C+", G3) == "F-"
-    assert _apply("P", "C+", G3) == "C-"
-    assert _apply("L", "C+", G3) == "E-"
-    assert _apply("H", "C+", G3) == "G#-"
+    _assert_both_legs(G3, {"R": "A-", "S": "C#-", "N": "F-", "P": "C-", "L": "E-", "H": "G#-"})
 
 
 def test_seventh_transformations():
-    assert _apply("R*", "C+", G4) == "E-"
-    assert _apply("S3(4)", "C+", G4) == "G-"
-    assert _apply("S3(2)", "C+", G4) == "C#-"
-    assert _apply("S6", "C+", G4) == "A#-"
-    assert _apply("S2", "C+", G4) == "C-"
-    assert _apply("S4", "C+", G4) == "F#-"
-    assert _apply("S5", "C+", G4) == "A-"
-    assert _apply("O", "C+", G4) == "D#-"
+    _assert_both_legs(G4, {
+        "R*": "E-", "S3(4)": "G-", "S3(2)": "C#-", "S6": "A#-",
+        "S2": "C-", "S4": "F#-", "S5": "A-", "O": "D#-",
+    })
 
 
 def test_hexachord_transformations():
-    assert _apply("R**", "C+", G6) == "D#-"
-    assert _apply("SA(3)", "C+", G6) == "B-"
-    assert _apply("SA(5)", "C+", G6) == "G-"
-    assert _apply("SF", "C+", G6) == "A-"
-    assert _apply("SW(1)", "C+", G6) == "C#-"
-    assert _apply("SW(3)", "C+", G6) == "F-"
-    assert _apply("S1", "C+", G6) == "C-"
-    assert _apply("S3(A)", "C+", G6) == "A#-"
-    assert _apply("S3(W)", "C+", G6) == "E-"
-    assert _apply("S5(A)", "C+", G6) == "F#-"
-    assert _apply("S5(F)", "C+", G6) == "G#-"
-    assert _apply("Z", "C+", G6) == "D-"
+    _assert_both_legs(G6, {
+        "R**": "D#-", "SA(3)": "B-", "SA(5)": "G-", "SF": "A-", "SW(1)": "C#-", "SW(3)": "F-",
+        "S1": "C-", "S3(A)": "A#-", "S3(W)": "E-", "S5(A)": "F#-", "S5(F)": "G#-", "Z": "D-",
+    })
 
 
 def test_every_transformation_swaps_modality():
@@ -278,3 +269,19 @@ def test_rebuilt_transformations_equal_and_hash_like_the_catalog():
             assert rebuilt is not t
             assert rebuilt == t
             assert hash(rebuilt) == hash(t)
+            # equality still compares every field, the offset too
+            assert dataclasses.replace(t, offset=t.offset + 1) != t
+
+
+def test_transformation_hash_agrees_with_equality():
+    everything = [t for g in ALL_GENERA for t in catalog(g)]
+    for t in everything:
+        for u in everything:
+            assert (t == u) == (t is u)
+            if t == u:
+                assert hash(t) == hash(u)
+    assert len({hash(t) for t in everything}) == len(everything) == 26
+    # the hash is fixed at construction but is no dataclass field
+    assert [f.name for f in dataclasses.fields(transform.Transformation)] == [
+        "genus", "token", "kind", "invariant", "moved", "offset"
+    ]
