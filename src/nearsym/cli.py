@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 
 from .chord import NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus, parse_chord
@@ -266,6 +266,7 @@ def _output_options(formats: list[str]) -> argparse.ArgumentParser:
     return output
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     output = _output_options(["text", "json"])
     graph_output = _output_options(["dot", "json"])

@@ -10,11 +10,11 @@ read from its smallest chord toward its smaller neighbour.
 The bridge regions of a genus are transpositions of one another, so with
 their chords numbered in sort_key order they have the same graph.  The walk
 is kept per graph, keyed by the neighbour masks, not by the region or the
-length window: one entry holds the widest window walked so far on the last
-graph, its cycles grouped by length, and every window inside it is a slice.
-Regions of one genus asked one after another (verify's pass over them) share
-one walk, and once a graph's full walk is kept no window of it walks again.
-The entry costs at most the 2 MB of the full n=6 walk.
+length window.  It is kept by length, so a window walks only the lengths it
+lacks: once over the span from the smallest to the largest of them.  Regions
+of one genus asked one after another (verify's pass over them) share one
+walk, and once a graph's every length is kept no window of it walks again.
+The entry holds at most the full walk, 2 MB at n=6.
 
 The cycle walk runs over integer ids in sort_key order.  Each id has a
 neighbour bitmask, and a ``free`` mask holds the unvisited ids above the
@@ -39,7 +39,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import accumulate, chain
+from itertools import chain
 from typing import NamedTuple
 
 from .chord import Chord, Genus, Modality, arthropod_collection, parent_symmetric_cell
@@ -257,51 +257,37 @@ def smooth_cycle_ids(
     return chords, _walk(nbm, min_len, max_len)
 
 
-class _Walked(NamedTuple):
-    """The cycles of one graph over the length window [lo, hi], in
-    ``smooth_cycle_ids`` order: those of length lo + k are
-    cycles[starts[k]:starts[k + 1]]."""
-
-    nbm: tuple[int, ...]
-    lo: int
-    hi: int
-    cycles: tuple[tuple[int, ...], ...]
-    starts: tuple[int, ...]
-
-    def window(self, min_len: int, max_len: int) -> tuple[tuple[int, ...], ...]:
-        return self.cycles[self.starts[min_len - self.lo] : self.starts[max_len - self.lo + 1]]
-
-
-# The widest window walked so far on the last graph.  The bridge regions of a
-# genus share one graph, so this one entry serves verify's pass over them and,
-# once the full walk is kept, every window of ``nearsym cycles`` with no walk.
-# It costs at most the 2 MB of the full n=6 walk.
-_widest: _Walked | None = None
+# The last graph walked, kept by length: its neighbour masks and each walked
+# length's cycles.  A window walks only the lengths it lacks, over one span
+# whose kept lengths are dropped first, so no length is held twice and the
+# entry holds at most the full walk: 2 MB at n=6.  The bridge regions of a
+# genus share one graph, so this one entry serves verify's pass over them.
+_kept: tuple[tuple[int, ...], dict[int, tuple[tuple[int, ...], ...]]] = ((), {})
 
 
 def _walk(nbm: tuple[int, ...], min_len: int, max_len: int) -> tuple[tuple[int, ...], ...]:
     """Every cycle, as ids, of the graph whose id i has neighbour mask
     nbm[i], with length in [min_len, max_len], in ``smooth_cycle_ids`` order.
-    A window inside the kept entry is sliced from it.  Another graph walks
-    just the window asked for; the same graph outside the entry walks the
-    union of the two windows, which replaces the entry."""
-    global _widest
-    walked = _widest
-    if walked is None or walked.nbm != nbm:
-        lo, hi = min_len, max_len
-    elif walked.lo <= min_len and max_len <= walked.hi:
-        return walked.window(min_len, max_len)
-    else:
-        lo, hi = min(walked.lo, min_len), max(walked.hi, max_len)
-    # drop the old entry first, so that it and the new walk are never both alive
-    walked = _widest = None
-    walked = _widest = _walk_window(nbm, lo, hi)
-    return walked.window(min_len, max_len)
+    The lengths the kept entry lacks are walked once, over the span from the
+    smallest to the largest of them; another graph replaces the entry."""
+    global _kept
+    if _kept[0] != nbm:
+        # drop the old table first, so that it and the new walk are never both alive
+        _kept = (nbm, {})
+    by_length = _kept[1]
+    missing = [k for k in range(min_len, max_len + 1) if k not in by_length]
+    if missing:
+        for k in range(missing[0], missing[-1] + 1):
+            by_length.pop(k, None)
+        by_length.update(_walk_window(nbm, missing[0], missing[-1]))
+    return tuple(chain.from_iterable(by_length[k] for k in range(min_len, max_len + 1)))
 
 
-def _walk_window(nbm: tuple[int, ...], min_len: int, max_len: int) -> _Walked:
+def _walk_window(
+    nbm: tuple[int, ...], min_len: int, max_len: int
+) -> dict[int, tuple[tuple[int, ...], ...]]:
     """Walks the graph whose id i has neighbour mask nbm[i] for its cycles
-    with length in [min_len, max_len]."""
+    with length in [min_len, max_len], grouped by length."""
     size = len(nbm)
     bits = _bit_lists(size)
 
@@ -321,8 +307,7 @@ def _walk_window(nbm: tuple[int, ...], min_len: int, max_len: int) -> _Walked:
             path = [start, second]
             _extend(path, free ^ (1 << second), nbm, bits, ends, min_len, max_len, found)
 
-    starts = tuple(accumulate(map(len, found[min_len:]), initial=0))
-    return _Walked(nbm, min_len, max_len, tuple(chain.from_iterable(found)), starts)
+    return {k: tuple(found[k]) for k in range(min_len, max_len + 1)}
 
 
 def enumerate_smooth_cycles(

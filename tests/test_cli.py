@@ -188,6 +188,20 @@ def test_cycles_rejects_bad_bounds(capsys):
     assert "cycle lengths" in err
 
 
+def test_a_usage_error_leaves_the_parser_fit_for_the_next_call(capsys):
+    # main builds its parser once per process, so an argparse exit must leave
+    # the next call's defaults and output as they were
+    with pytest.raises(SystemExit) as exc:
+        main(["cycles", "--genus", "3", "--containing", "C+", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert run(capsys, "cycles", "--genus", "3", "--containing", "C+") == (
+        0,
+        "C+ C- G#+ G#- E+ E- | union C D# E G G# B = 6-20\ntotal: 1\n",
+        "",
+    )
+
+
 def test_export_dot(capsys):
     code, out, _ = run(
         capsys, "export", "--genus", "3", "--kind", "bridge", "--containing", "C+",

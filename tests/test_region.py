@@ -187,7 +187,7 @@ def test_cycle_counts_match_the_closed_form(bridge_cycle_oracle):
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_length_window_filters_the_full_enumeration(n):
     # Regions inside windows: the bridge regions of a genus share one graph,
-    # so after the first full walk every window is a slice of the kept walk.
+    # kept by length, so after the first full walk no window walks again.
     full = {r: smooth_cycle_ids(r) for r in bridge_regions(genus(n))}
     for lo in range(4, 2 * n + 1):
         for hi in range(lo, 2 * n + 1):
@@ -208,7 +208,7 @@ def counted_walks(monkeypatch):
         return real(nbm, min_len, max_len)
 
     monkeypatch.setattr(region_module, "_walk_window", walk_window)
-    monkeypatch.setattr(region_module, "_widest", None)
+    monkeypatch.setattr(region_module, "_kept", ((), {}))
     return walks
 
 
@@ -228,43 +228,55 @@ def test_each_window_walked_cold_filters_the_full_enumeration(counted_walks, n):
     chords, full = smooth_cycle_ids(region)
     windows = DECK_WINDOWS if n == 6 else _windows(n)
     for lo, hi in windows:
-        region_module._widest = None
+        region_module._kept = ((), {})
         expected = tuple(cyc for cyc in full if lo <= len(cyc) <= hi)
         assert smooth_cycle_ids(region, lo, hi) == (chords, expected), (lo, hi)
     assert counted_walks == [(4, 2 * n), *windows]
 
-    # once the full walk of the graph is kept, no window of it walks again
+    # the full call walks just the span the last window left missing, and
+    # once every length of the graph is kept no window of it walks again
     del counted_walks[:]
-    smooth_cycle_ids(region)
+    last_lo, last_hi = windows[-1]
+    missing = [k for k in range(4, 2 * n + 1) if not last_lo <= k <= last_hi]
+    assert smooth_cycle_ids(region) == (chords, full)
+    assert counted_walks == ([(missing[0], missing[-1])] if missing else [])
+    del counted_walks[:]
     for r in bridge_regions(genus(n)):
         for lo, hi in _windows(n):
             smooth_cycle_ids(r, lo, hi)
-    assert counted_walks == [(4, 2 * n)]
+    assert counted_walks == []
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_shuffled_windows_get_the_window_asked_not_the_walk_widened(counted_walks, n):
-    # A window outside the kept walk widens it to the union of the two; the
-    # answer must still be the window asked.  Ascending or descending sweeps
-    # only ever ask the union itself or a window inside the walk, so the
-    # windows come in a seeded shuffle: every window once at n=4, draws with
-    # repeats at n=6.
+    # Windows in seeded shuffles over the regions of one genus, which share
+    # one graph: every window once at n=4, 60 draws with repeats at n=6.
+    # Every answer is the window asked.  A window walks once, over the span
+    # from its smallest to its largest length not yet kept, which lies inside
+    # it; a window whose lengths are all kept walks nothing.
     regions = bridge_regions(genus(n))
     full = {r: smooth_cycle_ids(r) for r in regions}
-    region_module._widest = None
-    del counted_walks[:]
-    rng = random.Random(6)
     windows = _windows(n)
-    asked = rng.sample(windows, len(windows)) if n == 4 else rng.choices(windows, k=60)
-    widened = 0
-    for lo, hi in asked:
-        r = rng.choice(regions)
-        chords, cycles = full[r]
-        expected = tuple(cyc for cyc in cycles if lo <= len(cyc) <= hi)
-        walks_before = len(counted_walks)
-        assert smooth_cycle_ids(r, lo, hi) == (chords, expected), (lo, hi)
-        widened += counted_walks[walks_before:] not in ([], [(lo, hi)])
-    assert widened, "the shuffle never widened the kept walk"
+    narrowed = 0
+    for seed in range(3):
+        region_module._kept = ((), {})
+        del counted_walks[:]
+        rng = random.Random(seed)
+        asked = rng.sample(windows, len(windows)) if n == 4 else rng.choices(windows, k=60)
+        kept = set()
+        for lo, hi in asked:
+            r = rng.choice(regions)
+            chords, cycles = full[r]
+            expected = tuple(cyc for cyc in cycles if lo <= len(cyc) <= hi)
+            missing = [k for k in range(lo, hi + 1) if k not in kept]
+            assert smooth_cycle_ids(r, lo, hi) == (chords, expected), (seed, lo, hi)
+            span = [(missing[0], missing[-1])] if missing else []
+            assert counted_walks == span, (seed, lo, hi)
+            for walk_lo, walk_hi in span:
+                kept.update(range(walk_lo, walk_hi + 1))
+            narrowed += span not in ([], [(lo, hi)])
+            del counted_walks[:]
+    assert narrowed, "no window walked less than itself"
 
 
 def _garbage_after(call, *args):
@@ -291,12 +303,14 @@ def test_vl_relation_leaves_no_garbage():
     assert voiceleading._relation.cache_info().misses == 1
 
 
-def test_the_bridge_regions_of_a_genus_share_one_cycle_walk():
+def test_the_bridge_regions_of_a_genus_share_one_cycle_walk(counted_walks):
     first, second = bridge_regions(G6)
     chords_0, cycles_0 = smooth_cycle_ids(first)
+    assert counted_walks == [(4, 12)]
     chords_1, cycles_1 = smooth_cycle_ids(second)
+    assert counted_walks == [(4, 12)]
     assert chords_0 != chords_1
-    assert cycles_1 is cycles_0
+    assert cycles_1 == cycles_0
 
 
 def test_a_region_with_another_graph_gets_a_walk_of_its_own(monkeypatch):
