@@ -8,21 +8,18 @@ share no pitch classes.  Each smooth cycle of a bridge region is listed once,
 read from its smallest chord toward its smaller neighbour.
 
 The bridge regions of a genus are transpositions of one another, so with
-their chords numbered in sort_key order they have the same graph.  The walk
-is kept per graph, keyed by the neighbour masks, not by the region or the
-length window.  It is kept by length, so a window walks only the lengths it
-lacks: once over the span from the smallest to the largest of them.  Regions
-of one genus asked one after another (verify's pass over them) share one
-walk, and once a graph's every length is kept no window of it walks again.
-The entry holds at most the full walk, 2 MB at n=6.
+their chords numbered in sort_key order they have the same graph.  There is
+one cached full walk per graph, keyed by the neighbour masks, not by the
+region or the length window, and a window is a slice of it.  So the bridge
+regions of a genus share one walk and one tuple of cycles, and no window
+walks again once its graph is walked: 2.1 MB kept at n=6.
 
 The cycle walk runs over integer ids in sort_key order.  Each id has a
 neighbour bitmask, and a ``free`` mask holds the unvisited ids above the
 path's start; a cached table per region size turns a mask into its ascending
-ids.  A path starts only where enough ids lie at or above it to make a
-cycle of the shortest length asked for, and its last vertex is read from one
-mask: free neighbours of the tail that close back to the start and exceed the
-path's second vertex.
+ids.  A path starts only where at least 4 ids lie at or above it, enough to
+make a cycle, and its last vertex is read from one mask: free neighbours of
+the tail that close back to the start and exceed the path's second vertex.
 
 Both kinds come from one loop over the symmetric cells.  Edges are arithmetic
 on the catalog offsets: each (+) member's image under each token of the
@@ -39,7 +36,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .chord import Chord, Genus, Modality, arthropod_collection, parent_symmetric_cell
@@ -212,8 +209,6 @@ def _extend(
     nbm: tuple[int, ...],
     bits: tuple[tuple[int, ...], ...],
     ends: int,
-    min_len: int,
-    max_len: int,
     found: list[list[tuple[int, ...]]],
 ) -> None:
     """Appends to found[length] each cycle that extends `path` through free
@@ -221,16 +216,16 @@ def _extend(
     calls itself: such a closure keeps each call's `found` in a reference
     cycle until the collector runs."""
     length = len(path) + 1
-    if length == max_len:
+    if length == len(nbm):
         out = found[length]
         for w in bits[nbm[path[-1]] & free & ends]:
             out.append((*path, w))
         return
     for w in bits[nbm[path[-1]] & free]:
         path.append(w)
-        if length >= min_len and ends >> w & 1:
+        if length >= 4 and ends >> w & 1:
             found[length].append(tuple(path))
-        _extend(path, free ^ (1 << w), nbm, bits, ends, min_len, max_len, found)
+        _extend(path, free ^ (1 << w), nbm, bits, ends, found)
         path.pop()
 
 
@@ -254,60 +249,38 @@ def smooth_cycle_ids(
     ids = {c: i for i, c in enumerate(chords)}
     adj = adjacency(region)
     nbm = tuple(sum(1 << ids[n] for n in adj[c]) for c in chords)
-    return chords, _walk(nbm, min_len, max_len)
+    cycles, starts = _walk(nbm)
+    return chords, cycles[starts[min_len]:starts[max_len + 1]]
 
 
-# The last graph walked, kept by length: its neighbour masks and each walked
-# length's cycles.  A window walks only the lengths it lacks, over one span
-# whose kept lengths are dropped first, so no length is held twice and the
-# entry holds at most the full walk: 2 MB at n=6.  The bridge regions of a
-# genus share one graph, so this one entry serves verify's pass over them.
-_kept: tuple[tuple[int, ...], dict[int, tuple[tuple[int, ...], ...]]] = ((), {})
-
-
-def _walk(nbm: tuple[int, ...], min_len: int, max_len: int) -> tuple[tuple[int, ...], ...]:
+# One full walk per graph, keyed by its neighbour masks: the bridge regions
+# of a genus share one graph, so they share one walk and one cycle tuple,
+# and every window of theirs is a slice of it.
+@cache
+def _walk(nbm: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Every cycle, as ids, of the graph whose id i has neighbour mask
-    nbm[i], with length in [min_len, max_len], in ``smooth_cycle_ids`` order.
-    The lengths the kept entry lacks are walked once, over the span from the
-    smallest to the largest of them; another graph replaces the entry."""
-    global _kept
-    if _kept[0] != nbm:
-        # drop the old table first, so that it and the new walk are never both alive
-        _kept = (nbm, {})
-    by_length = _kept[1]
-    missing = [k for k in range(min_len, max_len + 1) if k not in by_length]
-    if missing:
-        for k in range(missing[0], missing[-1] + 1):
-            by_length.pop(k, None)
-        by_length.update(_walk_window(nbm, missing[0], missing[-1]))
-    return tuple(chain.from_iterable(by_length[k] for k in range(min_len, max_len + 1)))
-
-
-def _walk_window(
-    nbm: tuple[int, ...], min_len: int, max_len: int
-) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Walks the graph whose id i has neighbour mask nbm[i] for its cycles
-    with length in [min_len, max_len], grouped by length."""
+    nbm[i], lengths 4 to len(nbm), in ``smooth_cycle_ids`` order; and the
+    index in them where each length starts, so that length k runs from
+    starts[k] to starts[k + 1]."""
     size = len(nbm)
     bits = _bit_lists(size)
 
     # Each path starts at its cycle's smallest vertex, so it walks only the
-    # `free` ids: unvisited and above the start.  A cycle of min_len ids needs
-    # that many at or above its start, which bounds the starts.  Of a cycle's
-    # two readings only the one with path[1] < path[-1] is emitted, so a path
-    # closes at `ends`: the start's neighbours above the second vertex.  A
-    # path one short of max_len takes its last vertex straight from that
-    # mask.  Starts and bit lists ascend, so each length's list fills in
-    # sorted order.
-    found: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
-    for start in range(size - min_len + 1):
+    # `free` ids: unvisited and above the start.  A cycle needs 4 ids at or
+    # above its start, which bounds the starts.  Of a cycle's two readings
+    # only the one with path[1] < path[-1] is emitted, so a path closes at
+    # `ends`: the start's neighbours above the second vertex.  A path one
+    # short of every id takes its last vertex straight from that mask.
+    # Starts and bit lists ascend, so each length's list fills in sorted
+    # order.
+    found: list[list[tuple[int, ...]]] = [[] for _ in range(size + 1)]
+    for start in range(size - 3):
         free = ((1 << size) - 1) & (-2 << start)
         for second in bits[nbm[start] & free]:
             ends = nbm[start] & (-2 << second)
-            path = [start, second]
-            _extend(path, free ^ (1 << second), nbm, bits, ends, min_len, max_len, found)
+            _extend([start, second], free ^ (1 << second), nbm, bits, ends, found)
 
-    return {k: tuple(found[k]) for k in range(min_len, max_len + 1)}
+    return tuple(chain.from_iterable(found)), tuple(accumulate(map(len, found), initial=0))
 
 
 def enumerate_smooth_cycles(

@@ -198,11 +198,11 @@ def _slide_images(t: Transformation, c: Chord) -> set[Chord]:
 
 def _cycle_checks(r: Region) -> tuple[str, str]:
     """(cycle-counts failure, cycle-structure failure) for one bridge region,
-    from one call of ``smooth_cycle_ids``; the region module keeps the last
-    walk, so the next region of the genus, which has the same graph, reads
-    the same cycles.  Each is "" when its claim holds; else the first names
-    the region and the counts it found, the second the first offending cycle
-    and the rule it breaks."""
+    from one call of ``smooth_cycle_ids``; the region module caches one full
+    walk per graph, so the other regions of the genus, which have the same
+    graph, read the same tuple of cycles.  Each is "" when its claim holds;
+    else the first names the region and the counts it found, the second the
+    first offending cycle and the rule it breaks."""
     chords, cycles = smooth_cycle_ids(r)
     found = dict(sorted(Counter(map(len, cycles)).items()))
     expected = EXPECTED_CYCLE_COUNTS[r.genus.n]

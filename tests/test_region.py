@@ -1,13 +1,13 @@
 import dataclasses
 import gc
 import json
-import random
 from collections import Counter
 
 import networkx as nx
 import pytest
 
 from nearsym import region as region_module
+from nearsym import verify as verify_module
 from nearsym import voiceleading
 from nearsym.chord import all_chords, genus, parse_chord
 from nearsym.region import (
@@ -187,96 +187,25 @@ def test_cycle_counts_match_the_closed_form(bridge_cycle_oracle):
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_length_window_filters_the_full_enumeration(n):
     # Regions inside windows: the bridge regions of a genus share one graph,
-    # kept by length, so after the first full walk no window walks again.
+    # walked once in full, so after the first full walk every window of
+    # every region is a slice of it and no window walks again.
     full = {r: smooth_cycle_ids(r) for r in bridge_regions(genus(n))}
+    misses = region_module._walk.cache_info().misses
     for lo in range(4, 2 * n + 1):
         for hi in range(lo, 2 * n + 1):
             for r, (chords, cycles) in full.items():
                 expected = tuple(cyc for cyc in cycles if lo <= len(cyc) <= hi)
                 assert smooth_cycle_ids(r, lo, hi) == (chords, expected), (r, lo, hi)
+    assert region_module._walk.cache_info().misses == misses
 
 
-@pytest.fixture
-def counted_walks(monkeypatch):
-    """Empties the kept cycle walk and lists the (min_len, max_len) window of
-    every walk made from then on."""
-    walks = []
-    real = region_module._walk_window
-
-    def walk_window(nbm, min_len, max_len):
-        walks.append((min_len, max_len))
-        return real(nbm, min_len, max_len)
-
-    monkeypatch.setattr(region_module, "_walk_window", walk_window)
-    monkeypatch.setattr(region_module, "_kept", ((), {}))
-    return walks
-
-
-def _windows(n):
-    return [(lo, hi) for lo in range(4, 2 * n + 1) for hi in range(lo, 2 * n + 1)]
-
-
-# the windows of the benchmark's cycles-dodecatonic decks
-DECK_WINDOWS = [(4, 5), (6, 7), (4, 9), (12, 12)]
-
-
-@pytest.mark.parametrize("n", [3, 4, 6])
-def test_each_window_walked_cold_filters_the_full_enumeration(counted_walks, n):
-    # With the kept walk emptied before each window, every window is walked
-    # on its own, through the walk's start pruning and last-vertex shortcut.
-    region = bridge_regions(genus(n))[0]
-    chords, full = smooth_cycle_ids(region)
-    windows = DECK_WINDOWS if n == 6 else _windows(n)
-    for lo, hi in windows:
-        region_module._kept = ((), {})
-        expected = tuple(cyc for cyc in full if lo <= len(cyc) <= hi)
-        assert smooth_cycle_ids(region, lo, hi) == (chords, expected), (lo, hi)
-    assert counted_walks == [(4, 2 * n), *windows]
-
-    # the full call walks just the span the last window left missing, and
-    # once every length of the graph is kept no window of it walks again
-    del counted_walks[:]
-    last_lo, last_hi = windows[-1]
-    missing = [k for k in range(4, 2 * n + 1) if not last_lo <= k <= last_hi]
-    assert smooth_cycle_ids(region) == (chords, full)
-    assert counted_walks == ([(missing[0], missing[-1])] if missing else [])
-    del counted_walks[:]
-    for r in bridge_regions(genus(n)):
-        for lo, hi in _windows(n):
-            smooth_cycle_ids(r, lo, hi)
-    assert counted_walks == []
-
-
-@pytest.mark.parametrize("n", [4, 6])
-def test_shuffled_windows_get_the_window_asked_not_the_walk_widened(counted_walks, n):
-    # Windows in seeded shuffles over the regions of one genus, which share
-    # one graph: every window once at n=4, 60 draws with repeats at n=6.
-    # Every answer is the window asked.  A window walks once, over the span
-    # from its smallest to its largest length not yet kept, which lies inside
-    # it; a window whose lengths are all kept walks nothing.
-    regions = bridge_regions(genus(n))
-    full = {r: smooth_cycle_ids(r) for r in regions}
-    windows = _windows(n)
-    narrowed = 0
-    for seed in range(3):
-        region_module._kept = ((), {})
-        del counted_walks[:]
-        rng = random.Random(seed)
-        asked = rng.sample(windows, len(windows)) if n == 4 else rng.choices(windows, k=60)
-        kept = set()
-        for lo, hi in asked:
-            r = rng.choice(regions)
-            chords, cycles = full[r]
-            expected = tuple(cyc for cyc in cycles if lo <= len(cyc) <= hi)
-            missing = [k for k in range(lo, hi + 1) if k not in kept]
-            assert smooth_cycle_ids(r, lo, hi) == (chords, expected), (seed, lo, hi)
-            span = [(missing[0], missing[-1])] if missing else []
-            assert counted_walks == span, (seed, lo, hi)
-            for walk_lo, walk_hi in span:
-                kept.update(range(walk_lo, walk_hi + 1))
-            narrowed += span not in ([], [(lo, hi)])
-            del counted_walks[:]
-    assert narrowed, "no window walked less than itself"
+def test_the_walk_lists_no_cycle_shorter_than_four():
+    # Bridge graphs are bipartite, so only a graph with triangles shows the
+    # walk's lower bound: K4 has four triangles and three 4-cycles.
+    k4 = tuple(0b1111 ^ (1 << i) for i in range(4))
+    cycles, starts = region_module._walk(k4)
+    assert cycles == ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3))
+    assert starts == (0, 0, 0, 0, 0, 3)
 
 
 def _garbage_after(call, *args):
@@ -285,12 +214,13 @@ def _garbage_after(call, *args):
     return gc.collect()
 
 
-def test_cycle_walk_leaves_no_garbage(counted_walks):
+def test_cycle_walk_leaves_no_garbage():
     # A walk that holds its results in reference cycles keeps every cycle
     # list alive until the collector runs, which doubles peak memory.  The
-    # walk is kept, so the fixture empties it first: a kept walk walks nothing.
+    # walk is cached, so its cache is emptied first: a cached walk walks nothing.
+    region_module._walk.cache_clear()
     assert _garbage_after(smooth_cycle_ids, bridge_regions(G6)[0]) == 0
-    assert counted_walks == [(4, 12)]
+    assert region_module._walk.cache_info().misses == 1
 
 
 def test_vl_relation_leaves_no_garbage():
@@ -303,14 +233,33 @@ def test_vl_relation_leaves_no_garbage():
     assert voiceleading._relation.cache_info().misses == 1
 
 
-def test_the_bridge_regions_of_a_genus_share_one_cycle_walk(counted_walks):
+def test_the_bridge_regions_of_a_genus_share_one_cycle_walk():
+    region_module._walk.cache_clear()
     first, second = bridge_regions(G6)
     chords_0, cycles_0 = smooth_cycle_ids(first)
-    assert counted_walks == [(4, 12)]
     chords_1, cycles_1 = smooth_cycle_ids(second)
-    assert counted_walks == [(4, 12)]
+    assert region_module._walk.cache_info().misses == 1
     assert chords_0 != chords_1
-    assert cycles_1 == cycles_0
+    assert cycles_1 is cycles_0
+
+
+def test_verify_walks_each_genus_once_and_shares_its_cycles(monkeypatch):
+    # 9 bridge regions, 3 graphs: one walk per genus, and both dodecatonic
+    # regions get the one cached tuple of their graph's full walk.
+    region_module._walk.cache_clear()
+    answers = {}
+    real = verify_module.smooth_cycle_ids
+
+    def recorded(r):
+        answers[r] = real(r)
+        return answers[r]
+
+    monkeypatch.setattr(verify_module, "smooth_cycle_ids", recorded)
+    assert [c.line() for c in run_checks() if not c.passed] == []
+    assert region_module._walk.cache_info().misses == 3
+    assert len(answers) == 9
+    first, second = bridge_regions(G6)
+    assert answers[second][1] is answers[first][1]
 
 
 def test_a_region_with_another_graph_gets_a_walk_of_its_own(monkeypatch):
