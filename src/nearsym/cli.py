@@ -16,8 +16,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from functools import cache, reduce
-from operator import or_
+from functools import cache
 
 from .chord import NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus, parse_chord
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     TokenParseError,
     UnsupportedCardinalityError,
 )
-from .pcset import from_mask, set_class, to_mask
+from .pcset import set_class
 from .region import (
     RegionKind,
     arthropod_regions,
@@ -169,21 +168,9 @@ def _format_union(union, names) -> str:
     return " ".join(names[p] for p in sorted(union)) + f" = {label}"
 
 
-def _rendered_cycles(cycles, masks, names, head: str, sep: str, tail):
-    """Each cycle of ids as text: head, its members' names joined by sep,
-    then tail(union mask, length), computed once per distinct pair."""
-    tails: dict[tuple[int, int], str] = {}
-    for cycle in cycles:
-        key = (reduce(or_, map(masks.__getitem__, cycle)), len(cycle))
-        end = tails.get(key)
-        if end is None:
-            end = tails[key] = tail(*key)
-        yield head + sep.join(map(names.__getitem__, cycle)) + end
-
-
-def _json_cycle_tail(union: int, length: int) -> str:
-    pcs = ",\n".join(f"        {p}" for p in sorted(from_mask(union)))
-    forte = json.dumps(set_class(from_mask(union)).forte_name)
+def _json_cycle_tail(union, length: int) -> str:
+    pcs = ",\n".join(f"        {p}" for p in sorted(union))
+    forte = json.dumps(set_class(union).forte_name)
     return (
         f'\n      ],\n      "length": {length},\n      "pitch_union": [\n{pcs}\n      ],'
         f'\n      "set_class": {forte}\n    }}'
@@ -201,9 +188,11 @@ def cmd_cycles(args) -> int:
         )
     chords, cycles = smooth_cycle_ids(region, args.min_len, max_len)
     flats = args.accidentals == "flats"
-    masks = [to_mask(c.pitch_classes()) for c in chords]
     write = sys.stdout.write
-    # Streamed a cycle at a time.  The JSON must stay byte-equal to
+    # Streamed a cycle at a time.  Every smooth cycle covers its region's
+    # pitch union (verify's cycle-structure proves it for every cycle), so
+    # each cycle's tail is read from region.pitch_union: built once per call
+    # for text, once per length for JSON.  The JSON must stay byte-equal to
     # json.dumps(payload, indent=2) + "\n" of the payload {kind, genus, id,
     # min_len, max_len, cycles: [{chords, length, pitch_union, set_class}],
     # count}.
@@ -213,21 +202,17 @@ def cmd_cycles(args) -> int:
             f'\n  "min_len": {args.min_len},\n  "max_len": {max_len},\n  "cycles": ['
         )
         members = [f"        {json.dumps(c.name(flats))}" for c in chords]
+        tails = {k: _json_cycle_tail(region.pitch_union, k) for k in range(args.min_len, max_len + 1)}
         head = '\n    {\n      "chords": [\n'
-        sep = ""
-        for text in _rendered_cycles(cycles, masks, members, head, ",\n", _json_cycle_tail):
-            write(sep + text)
-            sep = ","
+        for cycle in cycles:
+            write(head + ",\n".join(map(members.__getitem__, cycle)) + tails[len(cycle)])
+            head = ',\n    {\n      "chords": [\n'
         write(("\n  ]" if cycles else "]") + f',\n  "count": {len(cycles)}\n}}\n')
         return EXIT_OK
-    note_names = _note_names(args)
-
-    def text_tail(union: int, _length: int) -> str:
-        return f" | union {_format_union(from_mask(union), note_names)}\n"
-
+    tail = f" | union {_format_union(region.pitch_union, _note_names(args))}\n"
     names = [c.name(flats) for c in chords]
-    for text in _rendered_cycles(cycles, masks, names, "", " ", text_tail):
-        write(text)
+    for cycle in cycles:
+        write(" ".join(map(names.__getitem__, cycle)) + tail)
     write(f"total: {len(cycles)}\n")
     return EXIT_OK
 

@@ -37,6 +37,13 @@ cycle must be in that reading; and each must follow the cycle before it in
 Distinct readings in strictly increasing order cannot repeat a cycle, and
 checking that holds one previous cycle, not a set of them all.
 
+cycle-structure also proves that every smooth cycle, of every length,
+covers its region's pitch union, the one collection the region spans
+(hexatonic 6-20, octatonic 8-28, chromatic 12-1); ``nearsym cycles`` prints
+the region's union as each cycle's union on the strength of it.  A cycle's
+union is read from a table indexed by its mask of ids (4,096 entries at
+n=6), so the rule costs one lookup per cycle.
+
 graph-shape checks one rule for every genus: each bridge graph is the crown
 graph, K(n,n) minus a perfect matching, with the two modalities as its sides
 (the missing matching is the polar pairs, which share no pitch class).  The
@@ -215,12 +222,14 @@ def _cycle_structure(
 ) -> str:
     """The cycles are id tuples indexing chords, which must be r's members.
     Every cycle has at least 4 ids and visits distinct members along r's
-    edges, closing hop included, alternating modality; every full-length
-    cycle covers r's pitch union, and there is one.  Each cycle is read from
+    edges, closing hop included, alternating modality; every cycle covers
+    r's pitch union, and there is a full-length one.  Each cycle is read from
     its smallest id toward the smaller of that id's two cycle neighbours, and
     follows the cycle before it in (length, ids) order, so no cycle is listed
-    twice.  Each id has one mask of its opposite-modality neighbours, a
-    modality flag and a pitch-class mask.
+    twice.  Each id has one mask of its opposite-modality neighbours and a
+    modality flag; ``covers`` maps each mask of ids (bit i for id i) to the
+    union of their pitch-class masks, so a ring's union is ``covers[seen]``
+    of the ids the hop rules saw.
 
     An id outside the chords never passes the hop rules (one too large is no
     neighbour, a negative one shifts to no bit), so ``_culprit`` checks
@@ -232,7 +241,10 @@ def _cycle_structure(
     adj = adjacency(r)
     across = [sum(1 << ids[o] for o in adj[c] if o.modality is not c.modality) for c in chords]
     plus = [c.modality is Modality.PLUS for c in chords]
-    pitches = [to_mask(c.pitch_classes()) for c in chords]
+    covers = [0]
+    for c in chords:
+        mask = to_mask(c.pitch_classes())
+        covers += [cover | mask for cover in covers]
     union = to_mask(r.pitch_union)
     full = 2 * r.genus.n
     any_full = False
@@ -262,13 +274,9 @@ def _cycle_structure(
             rule = "it does not follow the cycle before it in (length, chords) order"
             return _culprit(chords, ring, rule)
         last = key
-        if len(ring) == full:
-            covered = 0
-            for v in ring:
-                covered |= pitches[v]
-            if covered != union:
-                return _culprit(chords, ring, "it misses part of the region's pitch union")
-            any_full = True
+        if covers[seen] != union:
+            return _culprit(chords, ring, "it misses part of the region's pitch union")
+        any_full = any_full or len(ring) == full
     return "" if any_full else f"{r.family} region {r.id} has no cycle of length {full}"
 
 

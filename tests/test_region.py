@@ -293,6 +293,18 @@ def test_full_cycles_cover_the_region_union():
                 assert cyc.pitch_union == r.pitch_union
 
 
+def test_every_oracle_cycle_covers_its_region_union(bridge_cycle_oracle):
+    # `nearsym cycles` prints the region's union as every cycle's union; the
+    # networkx cycles confirm it at every length, apart from the library walk
+    # and from verify's cycle-structure.
+    for g in ALL_GENERA:
+        for r in bridge_regions(g):
+            cycles = bridge_cycle_oracle[g.n, r.id]
+            assert {len(cycle) for cycle in cycles} == set(EXPECTED_CYCLE_COUNTS[g.n])
+            for cycle in cycles:
+                assert frozenset().union(*(c.pitch_classes() for c in cycle)) == r.pitch_union, cycle
+
+
 def test_cycle_bounds_are_validated():
     region = bridge_regions(G4)[0]
     with pytest.raises(ValueError):

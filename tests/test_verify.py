@@ -652,6 +652,20 @@ CHECK_TAMPERS = [
         id="bridge-pitch-unions-apart",
     ),
     pytest.param(
+        # the same at n=4, where shorter cycles come first: the union rule
+        # holds for every cycle, so region 1's first 4-cycle is named
+        {
+            "bridge_regions": _region_changed(
+                bridge_regions, 1, lambda rs, r: dataclasses.replace(r, pitch_union=rs[0].pitch_union)
+            )
+        },
+        4, [
+            "FAIL bridge-pitch-unions [n=4]: octatonic region 0",
+            "FAIL cycle-structure [n=4]: cycle C#+ C#- E+ A#-: it misses part of the region's pitch union",
+        ],
+        id="cycle-structure-unions-every-length",
+    ),
+    pytest.param(
         {"bridge_regions": _region_changed(bridge_regions, 0, _slide_edge_doubled)}, 3,
         ["FAIL region-degrees [n=3]: hexatonic region 0"], id="region-degrees-bridge-edges",
     ),
