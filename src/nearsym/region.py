@@ -28,6 +28,13 @@ relative P0,1, arthropod slide P2,0, bridge slide P(n-2),0).  Their oracles
 in ``verify`` are ``catalog-coverage`` (each chord's 2n images are the
 opposite-modality members of its two regions), ``region-degrees`` and
 ``relation-conformance``.
+
+``export_graph`` memoises its text: 18 regions, 2 formats and 2 spellings
+give at most 72 strings, about 105 KB, so each is serialized once per
+process.  Only the immutable string is kept; ``region_to_dict`` builds a
+fresh dict on every call.  The memo is sound because ``Region`` is frozen
+and compares by all its fields: a copy with any field changed is a
+different key, although it hashes like the original.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain
 from typing import NamedTuple
 
@@ -347,7 +354,21 @@ def region_to_dict(region: Region, flats: bool = False) -> dict:
 
 
 def export_graph(region: Region, format: str = "dot", flats: bool = False) -> str:
-    """Serialize a region graph as DOT or as the documented JSON schema."""
+    """Serialize a region graph as DOT or as the documented JSON schema.
+
+    The text is memoised per (region, format, spelling): a repeated call
+    returns the same string, and the memo holds at most the 72 there are.
+    A region that differs in any field, such as a copy with an edge dropped,
+    compares unequal and never reads another's entry.  An unknown format
+    raises ``ValueError`` and is not remembered.
+    """
+    return _export(region, format, bool(flats))
+
+
+# 72 = 18 regions (12/n symmetric cells for n = 3, 4, 6, each giving one
+# arthropod and one bridge region) x 2 formats x 2 spellings.
+@lru_cache(maxsize=72)
+def _export(region: Region, format: str, flats: bool) -> str:
     if format == "json":
         return json.dumps(region_to_dict(region, flats), indent=2) + "\n"
     if format == "dot":

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from golden_cli import GOLDEN, invocations, key, run
+from nearsym import region
 
 RECORDED = json.loads(GOLDEN.read_text(encoding="utf-8"))
 COMMANDS = ("partitions", "apply", "relate", "region", "cycles", "export", "verify")
@@ -32,3 +33,14 @@ def test_cli_output_matches_golden(all_invocations, command):
         if argv[0] == command and run(argv) != RECORDED[key(argv)]
     ]
     assert mismatched == []
+
+
+def test_export_replayed_warm_matches_golden(all_invocations):
+    # A cold pass from an empty export memo, then a warm pass in reverse
+    # order: a memo keyed without the spelling or the format serves one
+    # invocation's text to another in one pass or the other.
+    exports = [argv for argv in all_invocations if argv[0] == "export"]
+    region._export.cache_clear()
+    for order in (exports, exports[::-1]):
+        assert [key(argv) for argv in order if run(argv) != RECORDED[key(argv)]] == []
+    assert region._export.cache_info().hits > 0

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 from collections import Counter
 
@@ -364,6 +365,93 @@ def test_json_export_schema():
     assert payload == region_to_dict(bridge)
 
 
+# SHA-256 over the 72 export strings in export_cases() order, recorded from
+# the uncached serializer.
+EXPORT_DIGEST = "262e1a1cfc983080b05808a1376b8f45cbadca848700fcede0e344c47a2ceede"
+
+
+def export_cases():
+    """(region, format, flats) for every library region, format and spelling."""
+    regions = [r for g in ALL_GENERA for r in (*arthropod_regions(g), *bridge_regions(g))]
+    return [(r, fmt, flats) for r in regions for fmt in ("dot", "json") for flats in (False, True)]
+
+
 def test_export_rejects_unknown_format():
     with pytest.raises(ValueError):
         export_graph(bridge_regions(G3)[0], "yaml")
+
+
+def test_every_export_string_is_pinned():
+    cases = export_cases()
+    assert len(cases) == 72 and len({r for r, _, _ in cases}) == 18
+    texts = [export_graph(*case) for case in cases]
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == EXPORT_DIGEST
+    for (r, fmt, flats), text in zip(cases, texts):
+        if fmt == "json":
+            assert text == json.dumps(region_to_dict(r, flats), indent=2) + "\n"
+
+
+@pytest.fixture
+def empty_export_memo():
+    region_module._export.cache_clear()
+    yield region_module._export.cache_info
+    region_module._export.cache_clear()
+
+
+def test_export_memo_returns_one_string_per_region_format_and_spelling(empty_export_memo):
+    cases = export_cases()
+    for _ in range(2):
+        for case in cases:
+            export_graph(*case)
+    info = empty_export_memo()
+    assert (info.currsize, info.misses, info.hits) == (72, 72, 72)
+    r = bridge_regions(G6)[0]
+    assert export_graph(r, "json") is export_graph(r, "json")
+    assert export_graph(r, "dot", True) != export_graph(r, "dot", False)
+
+
+def test_export_memo_normalises_flats_and_keywords(empty_export_memo):
+    r = bridge_regions(G4)[1]
+    texts = {
+        export_graph(r, "dot", True),
+        export_graph(r, "dot", 1),
+        export_graph(r, format="dot", flats=True),
+        export_graph(region=r, flats=1, format="dot"),
+    }
+    assert len(texts) == 1 and "#" not in texts.pop()
+    assert empty_export_memo().currsize == 1
+
+
+def test_export_memo_caches_no_unknown_format(empty_export_memo):
+    r = bridge_regions(G3)[0]
+    export_graph(r)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            export_graph(r, "yaml")
+    assert empty_export_memo().currsize == 1
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_memo_never_serves_a_tampered_copy(empty_export_memo, fmt):
+    r = bridge_regions(G6)[1]
+    whole = export_graph(r, fmt)
+    tampered = dataclasses.replace(r, edges=r.edges[:-1])
+    assert hash(tampered) == hash(r) and tampered != r
+    cut = export_graph(tampered, fmt)
+    dropped = r.edges[-1]
+    if fmt == "dot":
+        line = f'"{dropped.a.name()}" -- "{dropped.b.name()}"'
+        assert line in whole and line not in cut
+    else:
+        assert len(json.loads(cut)["edges"]) == len(r.edges) - 1
+    assert cut == export_graph(tampered, fmt) and whole is export_graph(r, fmt)
+
+
+def test_region_to_dict_returns_a_fresh_dict_each_call():
+    r = arthropod_regions(G3)[0]
+    first = region_to_dict(r)
+    first["edges"].clear()
+    first["members"].append("X")
+    assert region_to_dict(r) is not region_to_dict(r)
+    assert region_to_dict(r) == json.loads(export_graph(r, "json"))
+    assert len(region_to_dict(r)["edges"]) == len(r.edges)
