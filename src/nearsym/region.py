@@ -16,10 +16,8 @@ walks again once its graph is walked: 2.1 MB kept at n=6.
 
 The cycle walk runs over integer ids in sort_key order.  Each id has a
 neighbour bitmask, and a ``free`` mask holds the unvisited ids above the
-path's start; a cached table per region size turns a mask into its ascending
-ids.  A path starts only where at least 4 ids lie at or above it, enough to
-make a cycle, and its last vertex is read from one mask: free neighbours of
-the tail that close back to the start and exceed the path's second vertex.
+path's start; the walk steps through a mask's set bits lowest first.  A path
+starts only where at least 4 ids lie at or above it, enough to make a cycle.
 
 Both kinds come from one loop over the symmetric cells.  Edges are arithmetic
 on the catalog offsets: each (+) member's image under each token of the
@@ -164,10 +162,13 @@ def region_of(c: Chord, kind: RegionKind) -> Region:
     bridge region holds one cell of roots, so c's is number c.root % (12/n);
     an arthropod region holds the perturbations of one symmetric cell, so
     c's is numbered by the smallest pitch class of c's parent cell.  Both
-    region lists are ordered by these numbers, their region ids."""
+    region lists are ordered by these numbers, their region ids.  Any kind
+    but a ``RegionKind`` member raises ``ValueError``."""
     if kind is RegionKind.ARTHROPOD:
         return arthropod_regions(c.genus)[min(parent_symmetric_cell(c).cell)]
-    return bridge_regions(c.genus)[c.root % (12 // c.genus.n)]
+    if kind is RegionKind.BRIDGE:
+        return bridge_regions(c.genus)[c.root % (12 // c.genus.n)]
+    raise ValueError(f"unknown region kind: {kind!r}")
 
 
 def polar(c: Chord) -> Chord:
@@ -200,39 +201,22 @@ class SmoothCycle:
         return _pitch_union(self.chords)
 
 
-@cache
-def _bit_lists(size: int) -> tuple[tuple[int, ...], ...]:
-    """Each mask below 2**size as the ascending tuple of its set bits."""
-    bits: list[tuple[int, ...]] = [()]
-    for mask in range(1, 1 << size):
-        high = mask.bit_length() - 1
-        bits.append(bits[mask ^ (1 << high)] + (high,))
-    return tuple(bits)
-
-
 def _extend(
-    path: list[int],
-    free: int,
-    nbm: tuple[int, ...],
-    bits: tuple[tuple[int, ...], ...],
-    ends: int,
-    found: list[list[tuple[int, ...]]],
+    path: list[int], free: int, nbm: tuple[int, ...], ends: int, found: list[list[tuple[int, ...]]]
 ) -> None:
     """Appends to found[length] each cycle that extends `path` through free
-    ids and closes at `ends`.  A module-level function, not a closure that
-    calls itself: such a closure keeps each call's `found` in a reference
-    cycle until the collector runs."""
+    ids and closes at `ends`, stepping to the free neighbours lowest first.
+    A module-level function, not a closure that calls itself: such a closure
+    keeps each call's `found` in a reference cycle until the collector runs."""
     length = len(path) + 1
-    if length == len(nbm):
-        out = found[length]
-        for w in bits[nbm[path[-1]] & free & ends]:
-            out.append((*path, w))
-        return
-    for w in bits[nbm[path[-1]] & free]:
-        path.append(w)
-        if length >= 4 and ends >> w & 1:
+    rest = nbm[path[-1]] & free
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        path.append(bit.bit_length() - 1)
+        if length >= 4 and ends & bit:
             found[length].append(tuple(path))
-        _extend(path, free ^ (1 << w), nbm, bits, ends, found)
+        _extend(path, free ^ bit, nbm, ends, found)
         path.pop()
 
 
@@ -270,22 +254,23 @@ def _walk(nbm: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int,
     index in them where each length starts, so that length k runs from
     starts[k] to starts[k + 1]."""
     size = len(nbm)
-    bits = _bit_lists(size)
 
     # Each path starts at its cycle's smallest vertex, so it walks only the
     # `free` ids: unvisited and above the start.  A cycle needs 4 ids at or
     # above its start, which bounds the starts.  Of a cycle's two readings
     # only the one with path[1] < path[-1] is emitted, so a path closes at
-    # `ends`: the start's neighbours above the second vertex.  A path one
-    # short of every id takes its last vertex straight from that mask.
-    # Starts and bit lists ascend, so each length's list fills in sorted
-    # order.
+    # `ends`: the start's neighbours above the second vertex.  Starts ascend
+    # and each step takes the lowest free bit first, so each length's list
+    # fills in sorted order.
     found: list[list[tuple[int, ...]]] = [[] for _ in range(size + 1)]
     for start in range(size - 3):
         free = ((1 << size) - 1) & (-2 << start)
-        for second in bits[nbm[start] & free]:
-            ends = nbm[start] & (-2 << second)
-            _extend([start, second], free ^ (1 << second), nbm, bits, ends, found)
+        rest = nbm[start] & free
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            ends = nbm[start] & -(bit << 1)
+            _extend([start, bit.bit_length() - 1], free ^ bit, nbm, ends, found)
 
     return tuple(chain.from_iterable(found)), tuple(accumulate(map(len, found), initial=0))
 

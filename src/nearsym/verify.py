@@ -203,33 +203,36 @@ def _slide_images(t: Transformation, c: Chord) -> set[Chord]:
     return images
 
 
-def _cycle_checks(r: Region) -> tuple[str, str]:
-    """(cycle-counts failure, cycle-structure failure) for one bridge region,
-    from one call of ``smooth_cycle_ids``; the region module caches one full
-    walk per graph, so the other regions of the genus, which have the same
-    graph, read the same tuple of cycles.  Each is "" when its claim holds;
-    else the first names the region and the counts it found, the second the
-    first offending cycle and the rule it breaks."""
+def _cycle_checks(r: Region, adj: dict[Chord, set[Chord]]) -> tuple[str, str]:
+    """(cycle-counts failure, cycle-structure failure) for one bridge region
+    with neighbours `adj`, from one call of ``smooth_cycle_ids``; the region
+    module caches one full walk per graph, so the other regions of the genus,
+    which have the same graph, read the same tuple of cycles.  Each is ""
+    when its claim holds; else the first names the region and the counts it
+    found, the second the first offending cycle and the rule it breaks."""
     chords, cycles = smooth_cycle_ids(r)
     found = dict(sorted(Counter(map(len, cycles)).items()))
     expected = EXPECTED_CYCLE_COUNTS[r.genus.n]
     counts = "" if found == expected else f"{r.family} region {r.id}: found {found}, expected {expected}"
-    return counts, _cycle_structure(r, chords, cycles)
+    return counts, _cycle_structure(r, adj, chords, cycles)
 
 
 def _cycle_structure(
-    r: Region, chords: tuple[Chord, ...], cycles: tuple[tuple[int, ...], ...]
+    r: Region,
+    adj: dict[Chord, set[Chord]],
+    chords: tuple[Chord, ...],
+    cycles: tuple[tuple[int, ...], ...],
 ) -> str:
     """The cycles are id tuples indexing chords, which must be r's members.
-    Every cycle has at least 4 ids and visits distinct members along r's
-    edges, closing hop included, alternating modality; every cycle covers
-    r's pitch union, and there is a full-length one.  Each cycle is read from
-    its smallest id toward the smaller of that id's two cycle neighbours, and
-    follows the cycle before it in (length, ids) order, so no cycle is listed
-    twice.  Each id has one mask of its opposite-modality neighbours and a
-    modality flag; ``covers`` maps each mask of ids (bit i for id i) to the
-    union of their pitch-class masks, so a ring's union is ``covers[seen]``
-    of the ids the hop rules saw.
+    Every cycle has at least 4 ids and visits distinct members along the
+    edges of `adj`, closing hop included, alternating modality; every cycle
+    covers r's pitch union, and there is a full-length one.  Each cycle is
+    read from its smallest id toward the smaller of that id's two cycle
+    neighbours, and follows the cycle before it in (length, ids) order, so no
+    cycle is listed twice.  Each id has one mask of its opposite-modality
+    neighbours and a modality flag; ``covers`` maps each mask of ids (bit i
+    for id i) to the union of their pitch-class masks, so a ring's union is
+    ``covers[seen]`` of the ids the hop rules saw.
 
     An id outside the chords never passes the hop rules (one too large is no
     neighbour, a negative one shifts to no bit), so ``_culprit`` checks
@@ -238,7 +241,6 @@ def _cycle_structure(
     if len(chords) != len(r.members) or set(chords) != set(r.members):
         return f"{r.family} region {r.id}: the cycle ids do not number its members"
     ids = {c: i for i, c in enumerate(chords)}
-    adj = adjacency(r)
     across = [sum(1 << ids[o] for o in adj[c] if o.modality is not c.modality) for c in chords]
     plus = [c.modality is Modality.PLUS for c in chords]
     covers = [0]
@@ -384,7 +386,7 @@ def _genus_claims(n: int) -> list[Claim]:
     # hexatonic and octatonic unions are distinct transpositions; both
     # dodecatonic regions exhaust the chromatic, so theirs coincide
     unions = len({tuple(sorted(r.pitch_union)) for r in bridge}) == (1 if n == 6 else len(bridge))
-    cycle_failures = [_cycle_checks(r) for r in bridge]  # per region, "" or the culprit
+    cycle_failures = [_cycle_checks(r, adj[r]) for r in bridge]  # per region, "" or the culprit
 
     def opposite(r: Region, c: Chord) -> list[Chord]:
         return [m for m in r.members if m.modality is not c.modality]

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import random
 from collections import Counter
 
 import networkx as nx
@@ -29,7 +30,7 @@ from nearsym.voiceleading import catalog_relation, vl_relation
 
 from golden_library import GOLDEN as GOLDEN_LIBRARY
 from golden_library import digest
-from oracles import crown_cycle_counts, crown_hamiltonian_cycles
+from oracles import crown_cycle_counts, crown_hamiltonian_cycles, cycle_oracle
 
 G3, G4, G6 = genus(3), genus(4), genus(6)
 ALL_GENERA = (G3, G4, G6)
@@ -59,6 +60,15 @@ def test_region_of_examples():
     assert region_of(parse_chord("D#-", G4), RegionKind.BRIDGE) == region_of(
         parse_chord("C+", G4), RegionKind.BRIDGE
     )
+
+
+def test_region_of_rejects_a_kind_that_is_no_region_kind():
+    # an enum value, None or 0 is no RegionKind: none may fall through to
+    # the bridge branch and come back as hexatonic region 0
+    c_plus = parse_chord("C+", G3)
+    for kind in ("arthropod", "bridge", None, 0):
+        with pytest.raises(ValueError, match=f"unknown region kind: {kind!r}"):
+            region_of(c_plus, kind)
 
 
 def test_hexatonic_compass_aliases():
@@ -207,6 +217,28 @@ def test_the_walk_lists_no_cycle_shorter_than_four():
     cycles, starts = region_module._walk(k4)
     assert cycles == ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3))
     assert starts == (0, 0, 0, 0, 0, 3)
+
+
+def test_the_walk_matches_networkx_on_random_graphs():
+    # Bridge graphs are crown graphs; random graphs bring triangles, odd
+    # cycles and uneven degrees, and so test the order in which the walk
+    # takes a mask's set bits as well as its start, emission and closing
+    # bounds.
+    rng = random.Random(22)
+    for trial in range(40):
+        size = rng.randint(4, 9)
+        edges = [(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.5]
+        nbm = [0] * size
+        for i, j in edges:
+            nbm[i] |= 1 << j
+            nbm[j] |= 1 << i
+        cycles, starts = region_module._walk(tuple(nbm))
+        assert set(cycles) == cycle_oracle(edges, 4, size, key=lambda v: v), trial
+        assert len(cycles) == len(set(cycles)) == starts[-1], trial
+        for k in range(4, size + 1):
+            window = cycles[starts[k] : starts[k + 1]]
+            assert all(len(cycle) == k for cycle in window), (trial, k)
+            assert all(a < b for a, b in zip(window, window[1:])), (trial, k)
 
 
 def _garbage_after(call, *args):

@@ -148,6 +148,10 @@ def _enumerate_as(monkeypatch, dodecatonic, cycles):
     )
 
 
+def _cycle_checks(dodecatonic):
+    return verify._cycle_checks(dodecatonic.region, adjacency(dodecatonic.region))
+
+
 def _failed(n):
     return [r.line() for r in verify.run_checks(n) if not r.passed]
 
@@ -163,14 +167,14 @@ def test_cycle_structure_passes_on_the_enumerator_output(monkeypatch, dodecatoni
     assert len(dodecatonic.cycles[K]) == 4
     assert A.modality is C.modality is not B.modality is D.modality
     _enumerate_as(monkeypatch, dodecatonic, dodecatonic.cycles)
-    assert verify._cycle_checks(dodecatonic.region) == ("", "")
+    assert _cycle_checks(dodecatonic) == ("", "")
 
 
 @pytest.mark.parametrize("tamper", TAMPER_NAMES)
 def test_cycle_structure_names_the_tampered_cycle(monkeypatch, dodecatonic, tamper):
     cycles, detail = dodecatonic.tampers[tamper]
     _enumerate_as(monkeypatch, dodecatonic, cycles)
-    assert verify._cycle_checks(dodecatonic.region)[1] == detail
+    assert _cycle_checks(dodecatonic)[1] == detail
 
 
 def test_a_tampered_region_fails_only_its_claims_in_the_report(monkeypatch, dodecatonic):
@@ -195,7 +199,7 @@ def test_ids_that_do_not_number_the_region_fail_cycle_structure(monkeypatch, dod
     chords = (outsider,) + dodecatonic.chords[1:]
     monkeypatch.setattr(verify, "smooth_cycle_ids", lambda r: (chords, dodecatonic.cycles))
     detail = "dodecatonic region 0: the cycle ids do not number its members"
-    assert verify._cycle_checks(dodecatonic.region) == ("", detail)
+    assert _cycle_checks(dodecatonic) == ("", detail)
 
 
 def test_a_region_lookup_one_region_off_fails_both_partitions(monkeypatch):
