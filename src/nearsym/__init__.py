@@ -49,7 +49,9 @@ from .region import (
     Region,
     RegionKind,
     SmoothCycle,
+    arthropod_members,
     arthropod_regions,
+    bridge_members,
     bridge_regions,
     complementarity_pairs,
     enumerate_smooth_cycles,
@@ -69,8 +71,6 @@ from .transform import (
     Transformation,
     apply,
     apply_sequence,
-    arthropod_members,
-    bridge_members,
     catalog,
     transformation,
     transformation_between,

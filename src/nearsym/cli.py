@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 from functools import cache
 
-from .chord import NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus, parse_chord
+from .chord import GENERA, NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus, parse_chord
 from .errors import (
     ChordParseError,
     GenusMismatchError,
@@ -51,7 +51,7 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _note_names(args) -> tuple[str, ...]:
-    return NOTE_NAMES_FLAT if args.accidentals == "flats" else NOTE_NAMES_SHARP
+    return NOTE_NAMES_FLAT if args.flats else NOTE_NAMES_SHARP
 
 
 def _usage_error(message: str) -> int:
@@ -82,7 +82,6 @@ def cmd_apply(args) -> int:
     g = genus(args.genus)
     chord = parse_chord(args.chord, g)
     sequence = _parse_sequence(args.seq, g)
-    flats = args.accidentals == "flats"
     steps = []
     current = chord
     for t in sequence:
@@ -92,23 +91,23 @@ def cmd_apply(args) -> int:
     if args.format == "json":
         _emit_json(
             {
-                "start": chord.name(flats),
+                "start": chord.name(args.flats),
                 "steps": [
                     {
                         "transform": t.token,
-                        "result": nxt.name(flats),
+                        "result": nxt.name(args.flats),
                         "relation": list(rel),
                     }
                     for _, t, nxt, rel in steps
                 ],
-                "result": current.name(flats),
+                "result": current.name(args.flats),
             }
         )
         return EXIT_OK
     if args.trace:
         for prev, t, nxt, rel in steps:
-            print(f"{prev.name(flats)} -{t.token}-> {nxt.name(flats)} [{rel.label}]")
-    print(current.name(flats))
+            print(f"{prev.name(args.flats)} -{t.token}-> {nxt.name(args.flats)} [{rel.label}]")
+    print(current.name(args.flats))
     return EXIT_OK
 
 
@@ -116,15 +115,14 @@ def cmd_relate(args) -> int:
     g = genus(args.genus)
     a = parse_chord(args.chord_a, g)
     b = parse_chord(args.chord_b, g)
-    flats = args.accidentals == "flats"
     relation = vl_relation(a, b)
     disjoint = not (a.pitch_classes() & b.pitch_classes())
     t = transformation_between(a, b)
     if args.format == "json":
         _emit_json(
             {
-                "a": a.name(flats),
-                "b": b.name(flats),
+                "a": a.name(args.flats),
+                "b": b.name(args.flats),
                 "relation": list(relation) if relation else None,
                 "disjoint": disjoint,
                 "transform": t.token if t else None,
@@ -153,19 +151,16 @@ def _region_header(region, flats: bool) -> str:
 def cmd_region(args) -> int:
     g = genus(args.genus)
     regions = _selected_regions(args, g)
-    flats = args.accidentals == "flats"
     if args.format == "json":
-        _emit_json([region_to_dict(r, flats) for r in regions])
+        _emit_json([region_to_dict(r, args.flats) for r in regions])
         return EXIT_OK
     for r in regions:
-        print(_region_header(r, flats))
+        print(_region_header(r, args.flats))
     return EXIT_OK
 
 
 def _format_union(union, names) -> str:
-    sc = set_class(union)
-    label = sc.forte_name or "(" + ",".join(str(v) for v in sc.prime_form) + ")"
-    return " ".join(names[p] for p in sorted(union)) + f" = {label}"
+    return " ".join(names[p] for p in sorted(union)) + f" = {set_class(union).forte_name}"
 
 
 def _json_cycle_tail(union, length: int) -> str:
@@ -181,13 +176,11 @@ def cmd_cycles(args) -> int:
     g = genus(args.genus)
     chord = parse_chord(args.containing, g)
     region = region_of(chord, RegionKind.BRIDGE)
-    max_len = args.max_len if args.max_len is not None else 2 * g.n
-    if not 4 <= args.min_len <= max_len <= 2 * g.n:
-        return _usage_error(
-            f"cycle lengths must satisfy 4 <= min <= max <= {2 * g.n}"
-        )
-    chords, cycles = smooth_cycle_ids(region, args.min_len, max_len)
-    flats = args.accidentals == "flats"
+    try:
+        chords, cycles = smooth_cycle_ids(region, args.min_len, args.max_len)
+    except ValueError as exc:  # the length window is out of range
+        return _usage_error(str(exc))
+    max_len = args.max_len if args.max_len is not None else len(chords)
     write = sys.stdout.write
     # Streamed a cycle at a time.  Every smooth cycle covers its region's
     # pitch union (verify's cycle-structure proves it for every cycle), so
@@ -201,7 +194,7 @@ def cmd_cycles(args) -> int:
             f'{{\n  "kind": "bridge",\n  "genus": {g.n},\n  "id": "{region.id}",'
             f'\n  "min_len": {args.min_len},\n  "max_len": {max_len},\n  "cycles": ['
         )
-        members = [f"        {json.dumps(c.name(flats))}" for c in chords]
+        members = [f"        {json.dumps(c.name(args.flats))}" for c in chords]
         tails = {k: _json_cycle_tail(region.pitch_union, k) for k in range(args.min_len, max_len + 1)}
         head = '\n    {\n      "chords": [\n'
         for cycle in cycles:
@@ -210,7 +203,7 @@ def cmd_cycles(args) -> int:
         write(("\n  ]" if cycles else "]") + f',\n  "count": {len(cycles)}\n}}\n')
         return EXIT_OK
     tail = f" | union {_format_union(region.pitch_union, _note_names(args))}\n"
-    names = [c.name(flats) for c in chords]
+    names = [c.name(args.flats) for c in chords]
     for cycle in cycles:
         write(" ".join(map(names.__getitem__, cycle)) + tail)
     write(f"total: {len(cycles)}\n")
@@ -220,8 +213,7 @@ def cmd_cycles(args) -> int:
 def cmd_export(args) -> int:
     g = genus(args.genus)
     regions = _selected_regions(args, g)
-    flats = args.accidentals == "flats"
-    sys.stdout.write("".join(export_graph(r, args.format, flats) for r in regions))
+    sys.stdout.write("".join(export_graph(r, args.format, args.flats) for r in regions))
     return EXIT_OK
 
 
@@ -257,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_output = _output_options(["dot", "json"])
 
     with_genus = argparse.ArgumentParser(add_help=False)
-    with_genus.add_argument("--genus", type=int, choices=[3, 4, 6], required=True)
+    with_genus.add_argument("--genus", type=int, choices=list(GENERA), required=True)
 
     parser = argparse.ArgumentParser(
         prog="nearsym",
@@ -266,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partitions", parents=[output], help="symmetric octave partitions")
-    p.add_argument("--n", type=int, choices=[3, 4, 6], required=True)
+    p.add_argument("--n", type=int, choices=list(GENERA), required=True)
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("apply", parents=[with_genus, output], help="apply a transformation sequence")
@@ -297,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("verify", parents=[output], help="run the structural verification suite")
-    p.add_argument("--genus", type=int, choices=[3, 4, 6], default=None)
+    p.add_argument("--genus", type=int, choices=list(GENERA), default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -326,6 +318,7 @@ def _run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    args.flats = args.accidentals == "flats"
     if sys.stdout is not None:
         return _run(args)
     # Started with stdout closed: discard the output, as print() would.

@@ -12,10 +12,13 @@ a set to its mask and back; ``prime_form`` builds its own masks, so
 ``verify``'s invariance check, which reads sets from masks, shares no kernel
 with it.
 
-``set_class`` is memoised per normalised set (at most 4,095 keys), so
-labelling every cycle a region emits costs one ``prime_form`` search per
-distinct union.  ``prime_form`` itself stays uncached: ``verify`` checks it
-directly on every set, and a cache there would share the path it checks.
+``set_class`` is memoised per normalised set (at most 4,095 keys).  The
+``cycles`` command labels each call once, from its region's pitch union; the
+memo mainly serves ``verify``'s slide-labels check, which classes the held
+and moved parts of every split of every chord, so each distinct part costs
+one ``prime_form`` search.  ``prime_form`` itself stays uncached: ``verify``
+checks it directly on every set, and a cache there would share the path it
+checks.
 """
 
 from __future__ import annotations

@@ -44,11 +44,11 @@ from functools import cache, lru_cache
 from itertools import accumulate, chain
 from typing import NamedTuple
 
-from .chord import Chord, Genus, Modality, arthropod_collection, parent_symmetric_cell
+from .chord import Chord, Genus, Modality, all_chords, arthropod_collection, parent_symmetric_cell
 from .errors import InvariantViolationError
 from .pcset import PcSet, set_class
 from .symmetry import symmetric_partition
-from .transform import Kind, Transformation, apply, bridge_members, catalog
+from .transform import Kind, Transformation, apply, catalog
 from .voiceleading import VoiceLeading, catalog_relation
 
 
@@ -171,6 +171,21 @@ def region_of(c: Chord, kind: RegionKind) -> Region:
     raise ValueError(f"unknown region kind: {kind!r}")
 
 
+# Membership is arithmetic on the chord and reads no built region, so that
+# _regions can call bridge_members while it builds the regions.
+def arthropod_members(c: Chord) -> tuple[Chord, ...]:
+    """The 2n chords generated from c's parent symmetric cell."""
+    return arthropod_collection(parent_symmetric_cell(c).cell)
+
+
+def bridge_members(c: Chord) -> tuple[Chord, ...]:
+    """Both-modality chords whose roots share c's root cell, (+) block first:
+    every 12/n-th root of the chord table, from the cell's lowest root."""
+    step = 12 // c.genus.n
+    chords, first = all_chords(c.genus), 2 * (c.root % step)
+    return chords[first::2 * step] + chords[first + 1::2 * step]
+
+
 def polar(c: Chord) -> Chord:
     """The opposite-modality member of c's bridge region disjoint from c,
     reached by the genus's pole (H, O, or Z), its catalog's last token."""
@@ -233,7 +248,7 @@ def smooth_cycle_ids(
     if max_len is None:
         max_len = size
     if not 4 <= min_len <= max_len <= size:
-        raise ValueError(f"cycle length bounds must satisfy 4 <= min <= max <= {size}")
+        raise ValueError(f"cycle lengths must satisfy 4 <= min <= max <= {size}")
 
     # Vertex ids follow sort_key order, so comparing ids compares chords.
     chords = tuple(sorted(region.members, key=lambda c: c.sort_key))

@@ -40,15 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .chord import (
-    Chord,
-    GENERA,
-    Genus,
-    Modality,
-    all_chords,
-    arthropod_collection,
-    parent_symmetric_cell,
-)
+from .chord import Chord, GENERA, Genus, Modality, all_chords
 from .errors import GenusMismatchError, InvariantViolationError, TokenParseError
 
 SlidePart = int | str | None
@@ -169,19 +161,6 @@ def transformation(token: str, g: Genus) -> Transformation:
                 f"transformation {normalized!r} belongs to the n={other.n} genus, not n={g.n}"
             )
     raise TokenParseError(f"unknown transformation token: {token!r}")
-
-
-def arthropod_members(c: Chord) -> tuple[Chord, ...]:
-    """The 2n chords generated from c's parent symmetric cell."""
-    return arthropod_collection(parent_symmetric_cell(c).cell)
-
-
-def bridge_members(c: Chord) -> tuple[Chord, ...]:
-    """Both-modality chords whose roots share c's root cell, (+) block first:
-    every 12/n-th root of the chord table, from the cell's lowest root."""
-    step = 12 // c.genus.n
-    chords, first = all_chords(c.genus), 2 * (c.root % step)
-    return chords[first::2 * step] + chords[first + 1::2 * step]
 
 
 @cache

@@ -62,6 +62,7 @@ from typing import Any
 
 from .chord import (
     Chord,
+    GENERA,
     Modality,
     all_chords,
     find_chord,
@@ -499,7 +500,7 @@ def _genus_claims(n: int) -> list[Claim]:
 
 def run_checks(genus_filter: int | None = None) -> list[CheckResult]:
     """Run every structural check, optionally restricted to one genus."""
-    scopes = [None, 3, 4, 6] if genus_filter is None else [genus(genus_filter).n]
+    scopes = [None, *GENERA] if genus_filter is None else [genus(genus_filter).n]
     results = []
     for n in scopes:
         for name, cases, holds in _global_claims() if n is None else _genus_claims(n):

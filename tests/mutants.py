@@ -1,0 +1,200 @@
+"""A catalogue of single-edit mutants of nearsym, each with the tests that kill it.
+
+An entry names a mutant, the file it edits (relative to the repository root),
+the exact text it replaces, which must occur once in that file, the text put
+in its place, and the tests that must fail with the edit in place.
+``test_mutants.py`` checks the catalogue against the tree on every tier-1 run;
+this module's runner checks that each mutant is killed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only the named ones
+
+The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, runs every named test once on the unmutated copy, then applies one
+mutant at a time and runs each of that mutant's tests in a pytest process of
+its own, under a timeout.  It prints ``killed`` or ``survived`` per mutant,
+then one JSON line, and exits 1 if any mutant survives.  A mutant is killed
+when every test it names fails, or runs past the timeout; a test that cannot
+be collected kills nothing.  Standard library only, apart from the pytest the
+tests need.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant(
+        "window-bound-size-plus-1",
+        "src/nearsym/region.py",
+        "if not 4 <= min_len <= max_len <= size:",
+        "if not 4 <= min_len <= max_len <= size + 1:",
+        (
+            "tests/test_region.py::test_cycle_bounds_are_validated",
+            "tests/test_cli.py::test_cycles_rejects_bad_bounds",
+        ),
+    ),
+    Mutant(
+        "json-header-max-len-minus-1",
+        "src/nearsym/cli.py",
+        "max_len = args.max_len if args.max_len is not None else len(chords)",
+        "max_len = args.max_len if args.max_len is not None else len(chords) - 1",
+        (
+            "tests/test_cli.py::test_cycles_json",
+            "tests/test_golden_cli.py::test_cli_output_matches_golden",
+        ),
+    ),
+    Mutant(
+        "bridge-members-both-blocks-from-first",
+        "src/nearsym/region.py",
+        "return chords[first::2 * step] + chords[first + 1::2 * step]",
+        "return chords[first::2 * step] + chords[first::2 * step]",
+        (
+            "tests/test_region.py::test_membership_is_arithmetic_and_reads_no_built_region",
+            "tests/test_acceptance.py::test_criterion_7_graph_shapes",
+        ),
+    ),
+    Mutant(
+        "arthropod-members-reads-region-of",
+        "src/nearsym/region.py",
+        "return arthropod_collection(parent_symmetric_cell(c).cell)",
+        "return region_of(c, RegionKind.ARTHROPOD).members",
+        ("tests/test_region.py::test_membership_is_arithmetic_and_reads_no_built_region",),
+    ),
+    Mutant(
+        "spelling-switch-inverted",
+        "src/nearsym/cli.py",
+        'args.flats = args.accidentals == "flats"',
+        'args.flats = args.accidentals != "flats"',
+        (
+            "tests/test_cli.py::test_partitions_flats",
+            "tests/test_golden_cli.py::test_cli_output_matches_golden",
+        ),
+    ),
+    Mutant(
+        "run-checks-skips-n6",
+        "src/nearsym/verify.py",
+        "scopes = [None, *GENERA] if genus_filter is None",
+        "scopes = [None, 3, 4] if genus_filter is None",
+        (
+            "tests/test_golden_cli.py::test_cli_output_matches_golden",
+            "tests/test_region.py::test_verify_walks_each_genus_once_and_shares_its_cycles",
+        ),
+    ),
+    Mutant(
+        "walk-extends-highest-bit-first",
+        "src/nearsym/region.py",
+        "    rest = nbm[path[-1]] & free\n    while rest:\n        bit = rest & -rest\n",
+        "    rest = nbm[path[-1]] & free\n    while rest:\n        bit = 1 << (rest.bit_length() - 1)\n",
+        (
+            "tests/test_region.py::test_the_walk_matches_networkx_on_random_graphs",
+            "tests/test_acceptance.py::test_criterion_8_cycle_oracle_equivalence",
+        ),
+    ),
+    Mutant(
+        "walk-drops-ends-test",
+        "src/nearsym/region.py",
+        "if length >= 4 and ends & bit:",
+        "if length >= 4:",
+        (
+            "tests/test_cli.py::test_cycles_hamiltonian_count",
+            "tests/test_region.py::test_the_walk_matches_networkx_on_random_graphs",
+        ),
+    ),
+    Mutant(
+        "walk-emits-length-3",
+        "src/nearsym/region.py",
+        "if length >= 4 and ends & bit:",
+        "if length >= 3 and ends & bit:",
+        (
+            "tests/test_region.py::test_the_walk_lists_no_cycle_shorter_than_four",
+            "tests/test_region.py::test_the_walk_matches_networkx_on_random_graphs",
+        ),
+    ),
+)
+
+
+def _pytest(workdir: Path, tests: list[str]) -> str:
+    """'passed', 'failed', 'timeout', or 'error' (nothing ran, e.g. a test
+    that cannot be collected) for one pytest run in workdir."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return {0: "passed", 1: "failed"}.get(proc.returncode, "error")
+
+
+def run(mutants: list[Mutant]) -> dict:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="nearsym-mutants-") as tmp:
+        work = Path(tmp)
+        # no __pycache__ is copied or written, so no stale bytecode of one
+        # mutant is read under another of the same size
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, work / tree, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        baseline = _pytest(work, sorted({t for m in mutants for t in m.tests}))
+        if baseline != "passed":
+            raise SystemExit(f"the named tests do not pass on the unmutated tree: {baseline}")
+        outcomes = {}
+        for m in mutants:
+            path = work / m.file
+            original = path.read_text(encoding="utf-8")
+            if original.count(m.old) != 1:
+                raise SystemExit(f"{m.name}: its old text does not occur exactly once in {m.file}")
+            path.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            try:
+                results = {test: _pytest(work, [test]) for test in m.tests}
+            finally:
+                path.write_text(original, encoding="utf-8")
+            spared = [test for test, result in results.items() if result not in ("failed", "timeout")]
+            outcomes[m.name] = "survived" if spared else "killed"
+            detail = "".join(f"\n  {results[test]}: {test}" for test in spared)
+            print(f"{outcomes[m.name]:8} {m.name}{detail}", flush=True)
+    survived = [name for name, outcome in outcomes.items() if outcome == "survived"]
+    return {
+        "mutants": len(outcomes),
+        "killed": len(outcomes) - len(survived),
+        "survived": survived,
+        "wall_s": round(time.perf_counter() - start, 1),
+    }
+
+
+def main(names: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in by_name]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    summary = run([by_name[n] for n in names] if names else list(MUTANTS))
+    print(json.dumps(summary))
+    return 1 if summary["survived"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

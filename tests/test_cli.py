@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -180,12 +181,26 @@ def test_cycles_json(capsys):
     assert payload["cycles"][0]["set_class"] == "6-20"
 
 
-def test_cycles_rejects_bad_bounds(capsys):
-    code, _, err = run(
-        capsys, "cycles", "--genus", "3", "--containing", "C+", "--min-len", "3"
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize(
+    "window",
+    [
+        lambda n: ["--min-len", "3"],
+        lambda n: ["--min-len", "6", "--max-len", "5"],
+        lambda n: ["--max-len", str(2 * n + 1)],
+        lambda n: ["--min-len=-1"],
+    ],
+    ids=["min3", "min>max", "max2n+1", "min-1"],
+)
+def test_cycles_rejects_bad_bounds(capsys, window, n, fmt):
+    # the library's smooth_cycle_ids is the one place that checks the window
+    code, out, err = run(
+        capsys, "cycles", "--genus", str(n), "--containing", "C+", "--format", fmt, *window(n)
     )
     assert code == 2
-    assert "cycle lengths" in err
+    assert out == ""
+    assert err == f"error: cycle lengths must satisfy 4 <= min <= max <= {2 * n}\n"
 
 
 def test_a_usage_error_leaves_the_parser_fit_for_the_next_call(capsys):
@@ -372,16 +387,20 @@ def _env_with_src():
 
 def test_stdout_closed_by_its_reader_exits_quietly_with_the_broken_pipe_code():
     # The full n=6 listing is far larger than a pipe buffer, so the writer is
-    # still writing when the reader closes its end.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "nearsym", "cycles", "--genus", "6", "--containing", "C+"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src(),
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    # still writing when the reader closes its end.  Stderr goes to a file,
+    # not a pipe: a child that fills a stderr pipe before writing any stdout
+    # would block, and this test with it, on the readline below.
+    with tempfile.TemporaryFile() as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nearsym", "cycles", "--genus", "6", "--containing", "C+"],
+            stdout=subprocess.PIPE, stderr=stderr, env=_env_with_src(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        stderr.seek(0)
+        err = stderr.read().decode()
+    assert code == EXIT_BROKEN_PIPE == 141
     assert first.decode().startswith("C+ ")
     assert "Traceback" not in err
     assert "Exception ignored" not in err

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import networkx as nx
@@ -14,7 +15,9 @@ from nearsym import voiceleading
 from nearsym.chord import all_chords, genus, parse_chord
 from nearsym.region import (
     RegionKind,
+    arthropod_members,
     arthropod_regions,
+    bridge_members,
     bridge_regions,
     complementarity_pairs,
     enumerate_smooth_cycles,
@@ -115,6 +118,17 @@ def test_a_wrong_kind_relation_fails_conformance_and_changes_the_region_digest(
             r.line() for r in run_checks(n) if not r.passed
         ]
     assert digest("region_of") != RECORDED_LIBRARY["region_of"]
+
+
+def test_membership_is_arithmetic_and_reads_no_built_region(fresh_region_caches):
+    every = [c for g in ALL_GENERA for c in all_chords(g)]
+    assert len(every) == 72
+    members = {c: (arthropod_members(c), bridge_members(c)) for c in every}
+    assert arthropod_regions.cache_info().currsize == 0
+    assert bridge_regions.cache_info().currsize == 0
+    for c, (arthropod, bridge) in members.items():
+        assert arthropod == region_of(c, RegionKind.ARTHROPOD).members
+        assert bridge == region_of(c, RegionKind.BRIDGE).members
 
 
 def test_region_hash_agrees_with_eq_and_reads_no_members_or_edges():
@@ -340,13 +354,11 @@ def test_every_oracle_cycle_covers_its_region_union(bridge_cycle_oracle):
 
 def test_cycle_bounds_are_validated():
     region = bridge_regions(G4)[0]
-    with pytest.raises(ValueError):
-        enumerate_smooth_cycles(region, 3, 8)
-    with pytest.raises(ValueError):
-        enumerate_smooth_cycles(region, 6, 4)
-    with pytest.raises(ValueError):
-        enumerate_smooth_cycles(region, 4, 10)
-    with pytest.raises(ValueError):
+    window = re.escape("cycle lengths must satisfy 4 <= min <= max <= 8")
+    for lo, hi in [(3, 8), (6, 4), (4, 9), (4, 10)]:
+        with pytest.raises(ValueError, match=window):
+            enumerate_smooth_cycles(region, lo, hi)
+    with pytest.raises(ValueError, match="defined only on bridge regions"):
         enumerate_smooth_cycles(arthropod_regions(G4)[0])
 
 

@@ -6,12 +6,11 @@ import pytest
 from nearsym import region, transform
 from nearsym.chord import all_chords, genus, parent_symmetric_cell, parse_chord
 from nearsym.errors import GenusMismatchError, InvariantViolationError, TokenParseError
+from nearsym.region import arthropod_members, bridge_members
 from nearsym.transform import (
     Kind,
     apply,
     apply_sequence,
-    arthropod_members,
-    bridge_members,
     catalog,
     transformation,
     transformation_between,
