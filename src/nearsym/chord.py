@@ -16,6 +16,7 @@ Its oracle is ``verify``'s ``perturbation-roundtrip``, both ways against
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -93,26 +94,27 @@ def genus(n: int) -> Genus:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Chord:
     """A concrete chord, identified by (genus, root, modality).
 
-    The pitch-class set is derived from the genus template, never stored.
-    The hash is fixed at construction, from the cardinality, the reduced
-    root and the modality, so dict and cache lookups cost no field hashing.
+    There is one object per chord: ``Chord(g, root, m)`` returns the entry
+    of the table ``all_chords(g)``, so equality is identity and the hash is
+    ``object``'s, and dict and cache lookups call no Python method.  The
+    pitch-class set is derived from the genus template, never stored.
     """
 
     genus: Genus
     root: int
     modality: Modality
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "root", self.root % 12)
-        key = (self.genus.n, self.root, self.modality is Modality.PLUS)
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, genus: Genus, root: int, modality: Modality) -> Chord:
+        if not isinstance(genus, Genus) or not isinstance(modality, Modality):
+            raise TypeError(f"Chord needs a Genus and a Modality, not {genus!r} and {modality!r}")
+        return all_chords(genus)[2 * (operator.index(root) % 12) + (modality is Modality.MINUS)]
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> tuple:
+        return Chord, (self.genus, self.root, self.modality)
 
     def pitch_classes(self) -> PcSet:
         """The chord's pitch classes: a table lookup keyed by template and root."""
@@ -173,9 +175,17 @@ def parse_chord(text: str, g: Genus) -> Chord:
 @cache
 def all_chords(g: Genus) -> tuple[Chord, ...]:
     """The table of a genus's 24 chords, roots ascending, (+) before (-), so
-    chord (root, m) sits at index ``2*root + (m is MINUS)``.  Built once;
-    ``parse_chord``, ``find_chord`` and ``apply`` return its entries."""
-    return tuple(Chord(g, root, modality) for root in range(12) for modality in Modality)
+    chord (root, m) sits at index ``2*root + (m is MINUS)``.  Built once,
+    and the only chords there are: ``Chord``, ``parse_chord``,
+    ``find_chord`` and ``apply`` return its entries."""
+    return tuple(_new_chord(g, root, modality) for root in range(12) for modality in Modality)
+
+
+def _new_chord(g: Genus, root: int, modality: Modality) -> Chord:
+    """A table entry; only ``all_chords`` builds one."""
+    c = object.__new__(Chord)
+    vars(c).update(genus=g, root=root, modality=modality)
+    return c
 
 
 @cache

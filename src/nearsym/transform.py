@@ -59,8 +59,18 @@ class Kind(Enum):
     POLAR = "polar"
 
 
-@dataclass(frozen=True)
+# Every Transformation there is, by its field tuple: catalog rows, and any
+# copy or tampered row built after them.
+_TRANSFORMATIONS: dict[tuple, Transformation] = {}
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Transformation:
+    """One catalog row.  There is one object per field tuple, so equality is
+    identity and the hash is ``object``'s: ``apply``'s cache hashes its key
+    without a Python call.  A copy with any field changed, such as a
+    tampered offset, is another object."""
+
     genus: Genus
     token: str
     kind: Kind
@@ -68,12 +78,25 @@ class Transformation:
     moved: SlidePart = None
     offset: int = 0  # image root minus source root, for a (+) source
 
-    def __post_init__(self) -> None:
-        # fixed at construction, as Chord's is: apply's cache hashes its key
-        object.__setattr__(self, "_hash", hash((self.genus.n, self.token)))
+    def __new__(
+        cls,
+        genus: Genus,
+        token: str,
+        kind: Kind,
+        invariant: SlidePart = None,
+        moved: SlidePart = None,
+        offset: int = 0,
+    ) -> Transformation:
+        key = (genus, token, kind, invariant, moved, offset)
+        if key not in _TRANSFORMATIONS:
+            t = _TRANSFORMATIONS[key] = object.__new__(cls)
+            vars(t).update(
+                genus=genus, token=token, kind=kind, invariant=invariant, moved=moved, offset=offset
+            )
+        return _TRANSFORMATIONS[key]
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> tuple:
+        return Transformation, (self.genus, self.token, self.kind, self.invariant, self.moved, self.offset)
 
     def __str__(self) -> str:
         return self.token
@@ -178,8 +201,7 @@ def transformation_between(x: Chord, y: Chord) -> Transformation | None:
     """The unique catalog transformation sending x to y, if any exists."""
     if x.genus is not y.genus and x.genus != y.genus:
         raise GenusMismatchError(f"cannot compare {x} (n={x.genus.n}) with {y} (n={y.genus.n})")
-    y = all_chords(y.genus)[2 * y.root + (y.modality is Modality.MINUS)]
-    hits = [t for t in catalog(x.genus) if apply(t, x) is y]  # apply returns table entries
+    hits = [t for t in catalog(x.genus) if apply(t, x) is y]  # one object per chord
     if len(hits) > 1:
         raise InvariantViolationError(
             f"{len(hits)} transformations connect {x} to {y}: {[t.token for t in hits]}"

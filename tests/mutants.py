@@ -131,6 +131,27 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_region.py::test_the_walk_matches_networkx_on_random_graphs",
         ),
     ),
+    Mutant(
+        "transformation-intern-key-drops-offset",
+        "src/nearsym/transform.py",
+        "key = (genus, token, kind, invariant, moved, offset)",
+        "key = (genus, token, kind, invariant, moved)",
+        (
+            "tests/test_transform.py::test_rebuilt_transformations_equal_and_hash_like_the_catalog",
+            "tests/test_transform.py::test_copies_of_a_transformation_are_the_transformation",
+        ),
+    ),
+    Mutant(
+        "chord-constructor-skips-mod-12",
+        "src/nearsym/chord.py",
+        "2 * (operator.index(root) % 12)",
+        "2 * operator.index(root)",
+        (
+            "tests/test_chord.py::test_the_public_constructor_builds_a_new_equal_chord",
+            "tests/test_chord.py::test_chord_hash_follows_the_reduced_root",
+            "tests/test_chord.py::test_the_constructor_returns_the_table_entry_for_every_root",
+        ),
+    ),
 )
 
 

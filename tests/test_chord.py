@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -201,7 +203,7 @@ def test_lookups_return_the_table_entries_themselves():
 def test_the_public_constructor_builds_a_new_equal_chord():
     c = Chord(G6, 14, Modality.MINUS)
     entry = all_chords(G6)[2 * 2 + 1]
-    assert c is not entry
+    assert c is entry
     assert (c.genus, c.root, c.modality) == (G6, 2, Modality.MINUS)
     assert c == entry and hash(c) == hash(entry)
 
@@ -218,3 +220,42 @@ def test_all_72_chords_hash_apart():
     universe = [c for g in (G3, G4, G6) for c in all_chords(g)]
     assert len(universe) == 72
     assert len({hash(c) for c in universe}) == 72
+
+
+def test_the_constructor_returns_the_table_entry_for_every_root():
+    for g in (G3, G4, G6):
+        table = all_chords(g)
+        for root in range(-24, 36):
+            for m in Modality:
+                assert Chord(g, root, m) is table[2 * (root % 12) + (m is Modality.MINUS)]
+
+
+@pytest.mark.parametrize(
+    ("g", "root", "m"),
+    [
+        (G3, 0, "+"),
+        (G3, 0, "-"),
+        (G3, 0, None),
+        (G3, 2.5, Modality.PLUS),
+        (G3, "+", Modality.PLUS),
+        (G3, "0", Modality.MINUS),
+        (3, 0, Modality.PLUS),
+    ],
+)
+def test_the_constructor_rejects_bad_input(g, root, m):
+    # never mapped onto some table entry: "+" is not PLUS, and 2.5 is no root
+    with pytest.raises(TypeError):
+        Chord(g, root, m)
+
+
+def test_copies_of_a_chord_are_the_chord():
+    # one object per chord: equality is identity, and the hash is object's
+    assert Chord.__eq__ is object.__eq__ and Chord.__hash__ is object.__hash__
+    for g in (G3, G4, G6):
+        for c in all_chords(g):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(c, protocol)) is c
+            assert copy.copy(c) is c
+            assert copy.deepcopy(c) is c
+            assert dataclasses.replace(c) is c
+            assert dataclasses.replace(c, root=c.root + 12) is c

@@ -293,6 +293,32 @@ def test_printed_chords_reparse(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "--format", "json"],
+        ["export", "--genus", "6", "--kind", "bridge", "--containing", "C+", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_is_byte_identical_across_processes_and_hash_seeds(argv):
+    # Chords and transformations hash by identity, so their hashes, and the
+    # order of any set of them, may change from process to process; no
+    # output may depend on that order.  The two processes run side by side.
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "nearsym", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**_env_with_src(), "PYTHONHASHSEED": seed},
+        )
+        for seed in ("1", "2")
+    ]
+    outs = [proc.communicate(timeout=60) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert [err for _, err in outs] == [b"", b""]
+    assert outs[0][0] and outs[0][0] == outs[1][0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["partitions", "--n", "3"],
         ["apply", "--genus", "3", "--chord", "C+", "--seq", "R"],
         ["relate", "--genus", "3", "C+", "A-"],

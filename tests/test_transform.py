@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import re
 
 import pytest
@@ -9,6 +11,7 @@ from nearsym.errors import GenusMismatchError, InvariantViolationError, TokenPar
 from nearsym.region import arthropod_members, bridge_members
 from nearsym.transform import (
     Kind,
+    Transformation,
     apply,
     apply_sequence,
     catalog,
@@ -265,7 +268,7 @@ def test_rebuilt_transformations_equal_and_hash_like_the_catalog():
     for g in ALL_GENERA:
         for t in catalog(g):
             rebuilt = dataclasses.replace(t)
-            assert rebuilt is not t
+            assert rebuilt is t
             assert rebuilt == t
             assert hash(rebuilt) == hash(t)
             # equality still compares every field, the offset too
@@ -284,3 +287,21 @@ def test_transformation_hash_agrees_with_equality():
     assert [f.name for f in dataclasses.fields(transform.Transformation)] == [
         "genus", "token", "kind", "invariant", "moved", "offset"
     ]
+
+
+def test_copies_of_a_transformation_are_the_transformation():
+    # one object per field tuple: equality is identity, and the hash is object's
+    assert Transformation.__eq__ is object.__eq__ and Transformation.__hash__ is object.__hash__
+    for g in ALL_GENERA:
+        for t in catalog(g):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(t, protocol)) is t
+            assert copy.copy(t) is t
+            assert copy.deepcopy(t) is t
+            assert Transformation(*(getattr(t, f.name) for f in dataclasses.fields(t))) is t
+            # a copy with another offset is another transformation, and so is
+            # its own copy
+            tampered = dataclasses.replace(t, offset=t.offset + 1)
+            assert tampered is not t and tampered.offset == t.offset + 1
+            assert dataclasses.replace(t, offset=t.offset + 1) is tampered
+            assert pickle.loads(pickle.dumps(tampered)) is tampered
