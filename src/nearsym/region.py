@@ -173,8 +173,10 @@ def region_of(c: Chord, kind: RegionKind) -> Region:
 
 # Membership is arithmetic on the chord and reads no built region, so that
 # _regions can call bridge_members while it builds the regions.
+@cache
 def arthropod_members(c: Chord) -> tuple[Chord, ...]:
-    """The 2n chords generated from c's parent symmetric cell."""
+    """The 2n chords generated from c's parent symmetric cell; cached, as
+    ``verify``'s oracles ask for them once per move."""
     return arthropod_collection(parent_symmetric_cell(c).cell)
 
 

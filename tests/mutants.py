@@ -102,6 +102,21 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "facts-tables-shared-across-scopes",
+        "src/nearsym/verify.py",
+        "setattr(self, table, value)",
+        "setattr(_Facts, table, value)",
+        ("tests/test_golden_cli.py::test_cli_output_matches_golden",),
+    ),
+    Mutant(
+        "same-region-reads-region-of",
+        "src/nearsym/verify.py",
+        "return image in (arthropod_members(c) if arthropod else bridge_members(c))",
+        "kind = RegionKind.ARTHROPOD if arthropod else RegionKind.BRIDGE\n"
+        "    return region_of(image, kind) == region_of(c, kind)",
+        ("tests/test_verify.py::test_an_oracle_reaches_none_of_the_functions_it_confirms",),
+    ),
+    Mutant(
         "walk-extends-highest-bit-first",
         "src/nearsym/region.py",
         "    rest = nbm[path[-1]] & free\n    while rest:\n        bit = rest & -rest\n",

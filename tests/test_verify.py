@@ -17,9 +17,14 @@ inversion, and an interval-class vector wrong on one set each fail
 prime-form-invariance alone: between them they need the T1 comparison, the
 I0 comparison and the interval-vector half of the check.  Every other check
 has a tamper of its own at the ``verify`` namespace, with the exact FAIL
-lines it gives."""
+lines it gives.  A claim builds only the tables it reads, so the claims
+before the first region-reading one run while no region can be built; and
+each oracle helper runs over its whole domain with the functions it confirms
+made to raise."""
 
 import dataclasses
+import sys
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -47,6 +52,7 @@ from nearsym.region import (
     Complementarity,
     RegionKind,
     adjacency,
+    arthropod_members,
     arthropod_regions,
     bridge_regions,
     complementarity_pairs,
@@ -55,7 +61,7 @@ from nearsym.region import (
     smooth_cycle_ids,
 )
 from nearsym.symmetry import cycle_from_generator, symmetric_partition
-from nearsym.transform import Kind, apply, transformation, transformation_between
+from nearsym.transform import Kind, apply, catalog, transformation, transformation_between
 from nearsym.voiceleading import VoiceLeading, catalog_relation, vl_relation
 
 K = 50  # a 4-cycle in the middle of the 90 four-chord cycles
@@ -157,8 +163,8 @@ def _failed(n):
 
 
 def _failed_globally(monkeypatch):
-    # the genus claims are left out for time: run_checks reports the global ones
-    monkeypatch.setattr(verify, "_genus_claims", lambda n: [])
+    # the genera are left out for time: run_checks reports the global claims
+    monkeypatch.setattr(verify, "GENERA", ())
     return [r.line() for r in verify.run_checks() if not r.passed]
 
 
@@ -275,7 +281,7 @@ def test_a_tampered_bridge_graph_fails_graph_shape(monkeypatch, n, tamper):
 
 
 def _clear_parent_caches():
-    for cached in (parent_symmetric_cell, arthropod_regions, bridge_regions):
+    for cached in (parent_symmetric_cell, arthropod_members, arthropod_regions, bridge_regions):
         cached.cache_clear()
 
 
@@ -738,13 +744,13 @@ def test_a_tampered_claim_fails_naming_its_first_failing_case(monkeypatch, tampe
 
 @pytest.fixture(scope="module")
 def claims():
-    """Each genus's claims as name -> (cases, holds), built on first use."""
-    built = {}
+    """Each genus's claims as name -> holds(case), over one facts object per
+    genus, whose tables are built on first use."""
+    facts = {}
 
     def of(n):
-        if n not in built:
-            built[n] = {name: (cases, holds) for name, cases, holds in verify._genus_claims(n)}
-        return built[n]
+        f = facts.setdefault(n, verify._Facts(n))
+        return {name: partial(holds, f) for name, scope, _, holds in verify._CLAIMS if scope == "genus"}
 
     return of
 
@@ -793,6 +799,95 @@ HAND_MADE_CASES = [
 
 @pytest.mark.parametrize(("n", "claim", "bad", "honest"), HAND_MADE_CASES)
 def test_a_claim_rejects_a_case_no_honest_library_builds(claims, n, claim, bad, honest):
-    _, holds = claims(n)[claim]
+    holds = claims(n)[claim]
     assert holds(honest())
     assert not holds(bad())
+
+
+def test_a_claim_builds_only_the_tables_it_reads(monkeypatch):
+    # at n=3 the seven claims before arthropod-partition read no region:
+    # each builds its own tables and passes, and the first claim that reads
+    # a region is the one that raises
+    def unbuildable(g):
+        raise RuntimeError("a region was read")
+
+    monkeypatch.setattr(verify, "arthropod_regions", unbuildable)
+    monkeypatch.setattr(verify, "bridge_regions", unbuildable)
+    reported, real = [], verify.CheckResult
+
+    def report(*fields):
+        reported.append(real(*fields))
+        return reported[-1]
+
+    monkeypatch.setattr(verify, "CheckResult", report)
+    with pytest.raises(RuntimeError, match="a region was read"):
+        verify.run_checks(3)
+    first = [
+        "partition-structure", "chord-universe", "perturbation-roundtrip", "inversional-pairing",
+        "vl-identity", "vl-symmetry", "vl-oracle-agreement",
+    ]
+    assert [r.line() for r in reported] == [f"PASS {name} [n=3]" for name in first]
+    assert [name for name, scope, _, _ in verify._CLAIMS if scope == "genus"][7] == "arthropod-partition"
+
+
+def _nearsym_modules():
+    return [m for name, m in sorted(sys.modules.items()) if name.partition(".")[0] == "nearsym"]
+
+
+def _slide_moves():
+    slides = (Kind.ARTHROPOD_SLIDE, Kind.BRIDGE_SLIDE)
+    return [(t, c) for n in (3, 4, 6) for t in catalog(genus(n)) if t.kind in slides for c in all_chords(genus(n))]
+
+
+def _moves_with_every_image():
+    return [
+        (t, c, image)
+        for n in (3, 4, 6)
+        for t in catalog(genus(n))
+        for c in all_chords(genus(n))
+        for image in all_chords(genus(n))
+    ]
+
+
+def _chord_pairs():
+    return [(x, y) for n in (3, 4, 6) for x in all_chords(genus(n)) for y in all_chords(genus(n))]
+
+
+def _perturbations():
+    return [(cell, note, d) for n in (3, 4, 6) for cell in symmetric_partition(n) for note in cell for d in Direction]
+
+
+# Each oracle helper, the functions it must not reach, and its whole domain:
+# an oracle that ran through the code it confirms would confirm nothing.
+ORACLES = [
+    pytest.param(verify._slide_images, ("apply", "transformation_between"), _slide_moves, 480, id="_slide_images"),
+    pytest.param(verify._same_region, ("apply",), _moves_with_every_image, 14_976, id="_same_region"),
+    pytest.param(verify._naive_vl, ("vl_relation", "_relation"), _chord_pairs, 1_728, id="_naive_vl"),
+    pytest.param(perturb, ("parent_symmetric_cell",), _perturbations, 72, id="perturb"),
+]
+
+
+@pytest.mark.parametrize(("oracle", "forbidden", "domain", "size"), ORACLES)
+def test_an_oracle_reaches_none_of_the_functions_it_confirms(monkeypatch, oracle, forbidden, domain, size):
+    cases = domain()
+    assert len(cases) == size
+    # every cache is emptied, so no answer the forbidden functions gave
+    # before is read back; all_chords keeps its table, which holds the chords
+    # themselves
+    for module in _nearsym_modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value is not all_chords:
+                value.cache_clear()
+
+    def unreachable(name):
+        def call(*args):
+            raise AssertionError(f"{oracle.__name__} reached {name}")
+
+        return call
+
+    for module in _nearsym_modules():
+        for name in forbidden:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable(name))
+    for case in cases:
+        oracle(*case)
