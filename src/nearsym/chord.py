@@ -12,6 +12,11 @@ The parent cell is arithmetic: perturbation commutes with transposition, so
 the displaced note lies one fixed offset per genus and modality above the root.
 Its oracle is ``verify``'s ``perturbation-roundtrip``, both ways against
 ``perturb``, which names each chord through the pitch-class table.
+
+Chord text names the same table index in every genus, so ``parse_chord``
+memoises text to index in a bounded ``lru_cache`` and reads the genus's
+table at that index: a repeated text costs one str hash.  The memo holds
+ints, never chords, and a text that raises is parsed afresh each time.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -165,11 +170,21 @@ def parse_note(text: str) -> int:
 
 
 def parse_chord(text: str, g: Genus) -> Chord:
-    """Parse chord text ``<root><modality>``, e.g. ``C+``, ``F#-``, ``Bb+``."""
+    """Parse chord text ``<root><modality>``, e.g. ``C+``, ``F#-``, ``Bb+``:
+    the entry of ``all_chords(g)`` at the text's memoised table index."""
+    index = _chord_index(text)  # before the genus is read, as a bad text raises first
+    return all_chords(g)[index]
+
+
+# Bounded, so that a stream of distinct texts cannot grow it without end.
+@lru_cache(maxsize=256)
+def _chord_index(text: str) -> int:
+    """The index of the chord text in every genus's table: twice its root
+    plus 1 for (-)."""
     s = text.strip()
     if len(s) < 2 or s[-1] not in ("+", "-"):
         raise ChordParseError(f"chord text must end in '+' or '-': {text!r}")
-    return all_chords(g)[2 * parse_note(s[:-1]) + (s[-1] == "-")]
+    return 2 * parse_note(s[:-1]) + (s[-1] == "-")
 
 
 @cache

@@ -161,11 +161,12 @@ def region_of(c: Chord, kind: RegionKind) -> Region:
     """The unique region of the given kind containing c, by arithmetic.  A
     bridge region holds one cell of roots, so c's is number c.root % (12/n);
     an arthropod region holds the perturbations of one symmetric cell, so
-    c's is numbered by the smallest pitch class of c's parent cell.  Both
-    region lists are ordered by these numbers, their region ids.  Any kind
-    but a ``RegionKind`` member raises ``ValueError``."""
+    c's is number note % (12/n), for the note c's parent cell displaced: the
+    cell is every (12/n)-th pitch class from that number.  Both region lists
+    are ordered by these numbers, their region ids.  Any kind but a
+    ``RegionKind`` member raises ``ValueError``."""
     if kind is RegionKind.ARTHROPOD:
-        return arthropod_regions(c.genus)[min(parent_symmetric_cell(c).cell)]
+        return arthropod_regions(c.genus)[parent_symmetric_cell(c).note % (12 // c.genus.n)]
     if kind is RegionKind.BRIDGE:
         return bridge_regions(c.genus)[c.root % (12 // c.genus.n)]
     raise ValueError(f"unknown region kind: {kind!r}")

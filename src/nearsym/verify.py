@@ -19,7 +19,10 @@ scope, which builds each table (the chords, the regions, the cycle walks)
 the first time a claim reads it and keeps it until the scope is done.  So a
 claim pays for the tables it reads first, and the claims before it run
 without them: at n=3 the seven claims before arthropod-partition build no
-region.  The oracles read region membership by arithmetic
+region.  A library fault the claim runs into, an ``InvariantViolationError``
+such as a region builder's refusal of a catalog image outside the region,
+fails that claim with the error's message, and the next claim runs; any
+other exception propagates.  The oracles read region membership by arithmetic
 (``arthropod_members``, ``bridge_members``), never through a built region,
 whose edges ``apply`` labels.
 
@@ -81,6 +84,7 @@ from .chord import (
     parent_symmetric_cell,
     perturb,
 )
+from .errors import InvariantViolationError
 from .pcset import (
     FORTE_NAMES,
     PcSet,
@@ -554,7 +558,10 @@ _CLAIMS: list[tuple[str, str, Callable[[_Facts], Sequence[Any]], Callable[[_Fact
 def run_checks(genus_filter: int | None = None) -> list[CheckResult]:
     """Run every structural check, optionally restricted to one genus: each
     claim of ``_CLAIMS`` on each scope it covers, Z12 first, then genus by
-    genus, over one facts object per scope."""
+    genus, over one facts object per scope.  A claim during which the
+    library raises ``InvariantViolationError``, while building a table the
+    claim reads or while testing a case, fails with the error's message;
+    any other exception is a fault of ``verify`` and propagates."""
     scopes = [None, *GENERA] if genus_filter is None else [genus(genus_filter).n]
     results = []
     for n in scopes:
@@ -562,7 +569,10 @@ def run_checks(genus_filter: int | None = None) -> list[CheckResult]:
         for name, scope, cases, holds in _CLAIMS:
             if scope != ("z12" if n is None else "genus"):
                 continue
-            culprit = _first_failure(facts, cases, holds)
+            try:
+                culprit = _first_failure(facts, cases, holds)
+            except InvariantViolationError as exc:  # a library fault, named by its message
+                culprit = str(exc)
             # the goldens pin the detail cycle-counts reports when it passes
             passed = f"expected {EXPECTED_CYCLE_COUNTS[n]}" if name == "cycle-counts" else ""
             results.append(CheckResult(name, n, not culprit, culprit or passed))

@@ -16,6 +16,9 @@ by those, one scan per modality pair and root difference (144 in all).
 
 Each catalog kind moves the voices by one relation of n, ``catalog_relation``:
 relative P0,1, arthropod slide P2,0, bridge slide P(n-2),0, pole P(n),0.
+So ``ssd_neighbors``, the single-semitone neighbours, are a chord's images
+under the P1,0 tokens, the triad bridge slides; it is cached per chord, 72
+keys in all.
 """
 
 from __future__ import annotations
@@ -84,10 +87,12 @@ def _relation(g: Genus, xm: Modality, ym: Modality, diff: int) -> VoiceLeading |
     return VoiceLeading(total - 2 * wholes, wholes)
 
 
+@cache
 def ssd_neighbors(x: Chord) -> tuple[Chord, ...]:
     """Same-genus chords reachable by moving exactly one voice one semitone:
     x's images under the P1,0 tokens.  Bridge slides are P(n-2),0, so these
-    are the triad bridge slides P and L, and n=4 and n=6 have none."""
+    are the triad bridge slides P and L, and n=4 and n=6 have none.  Cached:
+    there are 72 chords to ask about."""
     if x.genus.n != 3:
         return ()
     images = (apply(t, x) for t in catalog(x.genus) if t.kind is Kind.BRIDGE_SLIDE)

@@ -157,6 +157,77 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "parse-memo-unbounded",
+        "src/nearsym/chord.py",
+        "@lru_cache(maxsize=256)",
+        "@lru_cache(maxsize=None)",
+        ("tests/test_chord.py::test_the_parse_memo_is_bounded",),
+    ),
+    Mutant(
+        "chord-index-swaps-modality",
+        "src/nearsym/chord.py",
+        'return 2 * parse_note(s[:-1]) + (s[-1] == "-")',
+        'return 2 * parse_note(s[:-1]) + (s[-1] == "+")',
+        (
+            "tests/test_chord.py::test_every_accepted_spelling_parses_to_the_table_entry",
+            "tests/test_chord.py::test_parse_chord_agrees_with_parse_note_and_the_modality_rule",
+        ),
+    ),
+    Mutant(
+        "parse-chord-reads-the-triad-table",
+        "src/nearsym/chord.py",
+        "return all_chords(g)[index]",
+        "return all_chords(TRIADS)[index]",
+        (
+            "tests/test_chord.py::test_every_accepted_spelling_parses_to_the_table_entry",
+            "tests/test_chord.py::test_parse_chord_agrees_with_parse_note_and_the_modality_rule",
+        ),
+    ),
+    Mutant(
+        "ssd-neighbors-reads-arthropod-slides",
+        "src/nearsym/voiceleading.py",
+        "if t.kind is Kind.BRIDGE_SLIDE)",
+        "if t.kind is Kind.ARTHROPOD_SLIDE)",
+        (
+            "tests/test_voiceleading.py::test_ssd_neighbors_of_a_major_triad",
+            "tests/test_transform.py::test_ssd_neighbors_follow_a_changed_bridge_slide_offset",
+        ),
+    ),
+    Mutant(
+        "cache-clearing-spares-voiceleading",
+        "tests/conftest.py",
+        'if hasattr(value, "cache_clear") and value is not all_chords:',
+        'if hasattr(value, "cache_clear") and value is not all_chords and value.__module__ != "nearsym.voiceleading":',
+        ("tests/test_transform.py::test_ssd_neighbors_follow_a_changed_bridge_slide_offset",),
+    ),
+    Mutant(
+        "region-of-arthropod-note-plus-1",
+        "src/nearsym/region.py",
+        "[parent_symmetric_cell(c).note % (12 // c.genus.n)]",
+        "[(parent_symmetric_cell(c).note + 1) % (12 // c.genus.n)]",
+        (
+            "tests/test_region.py::test_named_region_membership",
+            "tests/test_region.py::test_membership_is_arithmetic_and_reads_no_built_region",
+        ),
+    ),
+    Mutant(
+        "run-checks-catches-every-exception",
+        "src/nearsym/verify.py",
+        "except InvariantViolationError as exc:",
+        "except Exception as exc:",
+        ("tests/test_verify.py::test_a_claim_builds_only_the_tables_it_reads",),
+    ),
+    Mutant(
+        "run-checks-catches-no-invariant-violation",
+        "src/nearsym/verify.py",
+        "except InvariantViolationError as exc:",
+        "except ZeroDivisionError as exc:",
+        (
+            "tests/test_transform.py::test_verify_names_a_wrong_offset_of_each_kind_without_raising",
+            "tests/test_transform.py::test_verify_prints_every_line_for_a_wrong_offset_while_library_callers_raise",
+        ),
+    ),
+    Mutant(
         "chord-constructor-skips-mod-12",
         "src/nearsym/chord.py",
         "2 * (operator.index(root) % 12)",

@@ -3,6 +3,8 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearsym.chord import (
     GENERA,
@@ -10,6 +12,7 @@ from nearsym.chord import (
     Direction,
     Genus,
     Modality,
+    _chord_index,
     all_chords,
     arthropod_collection,
     find_chord,
@@ -17,6 +20,7 @@ from nearsym.chord import (
     name_of,
     parent_symmetric_cell,
     parse_chord,
+    parse_note,
     perturb,
 )
 from nearsym.errors import (
@@ -88,6 +92,68 @@ def test_parse_and_render():
 def test_parse_rejects_bad_text(text):
     with pytest.raises(ChordParseError):
         parse_chord(text, G3)
+
+
+# Each accidental spelling and the semitones it moves the letter by.
+ACCIDENTALS = {"": 0, "#": 1, "b": -1, "♯": 1, "♭": -1, "##": 2, "bb": -2, "#b": 0, "♯♭♭": -1}
+LETTERS = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
+
+
+def test_every_accepted_spelling_parses_to_the_table_entry():
+    # 2,268 texts, so the memo also evicts and refills along the way
+    texts = 0
+    for g in (G3, G4, G6):
+        chords = all_chords(g)
+        for letter, natural in LETTERS.items():
+            for accidental, shift in ACCIDENTALS.items():
+                for sign in "+-":
+                    expected = chords[2 * ((natural + shift) % 12) + (sign == "-")]
+                    for text in (letter + accidental + sign, f" {letter.lower()}{accidental}{sign}\t"):
+                        assert parse_chord(text, g) is expected  # the first call may fill the memo
+                        assert parse_chord(text, g) is expected  # a repeat call reads it
+                        texts += 1
+    assert texts == 3 * 7 * len(ACCIDENTALS) * 2 * 2
+
+
+@pytest.mark.parametrize("text", ["", "C", "+", "H+", "C#", "Cx+", "C+-", " # +", "C #+"])
+def test_a_bad_text_raises_the_same_error_again_and_is_not_remembered(text):
+    _chord_index.cache_clear()
+    with pytest.raises(ChordParseError) as first:
+        parse_chord(text, G3)
+    with pytest.raises(ChordParseError) as second:
+        parse_chord(text, G6)
+    assert str(second.value) == str(first.value)
+    assert _chord_index.cache_info().currsize == 0
+
+
+def test_the_parse_memo_is_bounded():
+    maxsize = _chord_index.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and 0 < maxsize <= 1024
+    for pad in range(maxsize + 10):
+        assert parse_chord(" " * pad + "C+", G3) is all_chords(G3)[0]
+    assert _chord_index.cache_info().currsize == maxsize
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.text(alphabet="ABCDEFGHcbx#♯♭+- \t", max_size=6), st.text(max_size=6)),
+    st.sampled_from([G3, G4, G6]),
+)
+def test_parse_chord_agrees_with_parse_note_and_the_modality_rule(text, g):
+    # the unmemoised rule: strip, a final + or -, and a note before it
+    s = text.strip()
+    try:
+        if len(s) < 2 or s[-1] not in ("+", "-"):
+            raise ChordParseError(f"chord text must end in '+' or '-': {text!r}")
+        expected = Chord(g, parse_note(s[:-1]), Modality.MINUS if s[-1] == "-" else Modality.PLUS)
+    except ChordParseError as error:
+        for _ in range(2):
+            with pytest.raises(ChordParseError) as raised:
+                parse_chord(text, g)
+            assert str(raised.value) == str(error)
+    else:
+        assert parse_chord(text, g) is expected
+        assert parse_chord(text, g) is expected
 
 
 def test_perturb_examples():

@@ -82,24 +82,11 @@ def test_hexatonic_compass_aliases():
     assert all(r.alias is None for r in bridge_regions(G4))
 
 
-def _clear_region_caches():
-    for cached in (arthropod_regions, bridge_regions, catalog_relation):
-        cached.cache_clear()
-
-
-@pytest.fixture
-def fresh_region_caches(monkeypatch):
-    _clear_region_caches()
-    yield
-    monkeypatch.undo()
-    _clear_region_caches()
-
-
 @pytest.mark.parametrize(
     "kind", [Kind.RELATIVE, Kind.ARTHROPOD_SLIDE, Kind.BRIDGE_SLIDE], ids=lambda k: k.value
 )
 def test_a_wrong_kind_relation_fails_conformance_and_changes_the_region_digest(
-    monkeypatch, fresh_region_caches, kind
+    monkeypatch, fresh_caches, kind
 ):
     # One more voice moved a semitone than the paper says, e.g. bridge slides
     # labelled P(n-1),0: every edge of that kind carries the wrong label.
@@ -120,7 +107,7 @@ def test_a_wrong_kind_relation_fails_conformance_and_changes_the_region_digest(
     assert digest("region_of") != RECORDED_LIBRARY["region_of"]
 
 
-def test_membership_is_arithmetic_and_reads_no_built_region(fresh_region_caches):
+def test_membership_is_arithmetic_and_reads_no_built_region(fresh_caches):
     every = [c for g in ALL_GENERA for c in all_chords(g)]
     assert len(every) == 72
     members = {c: (arthropod_members(c), bridge_members(c)) for c in every}

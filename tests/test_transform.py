@@ -2,10 +2,11 @@ import copy
 import dataclasses
 import pickle
 import re
+from functools import partial
 
 import pytest
 
-from nearsym import region, transform
+from nearsym import cli, region, transform
 from nearsym.chord import all_chords, genus, parent_symmetric_cell, parse_chord
 from nearsym.errors import GenusMismatchError, InvariantViolationError, TokenParseError
 from nearsym.region import arthropod_members, bridge_members
@@ -19,7 +20,9 @@ from nearsym.transform import (
     transformation_between,
 )
 from nearsym.verify import run_checks
-from nearsym.voiceleading import VoiceLeading, catalog_relation, vl_relation
+from nearsym.voiceleading import VoiceLeading, catalog_relation, ssd_neighbors, vl_relation
+
+from conftest import clear_caches
 
 G3, G4, G6 = genus(3), genus(4), genus(6)
 ALL_GENERA = (G3, G4, G6)
@@ -203,23 +206,22 @@ def test_apply_rejects_genus_mismatch():
         apply(transformation("R", G3), parse_chord("C+", G4))
 
 
-def _clear_catalog_caches():
-    for cached in (transform.catalog, transform.apply, region.arthropod_regions, region.bridge_regions):
-        cached.cache_clear()
+@pytest.fixture
+def catalog_offsets(monkeypatch, fresh_caches):
+    """Gives the named tokens of genus n new root offsets, with cleared caches."""
+
+    def patch(n, **offsets):
+        rows = tuple((*row[:-1], offsets.get(row[0], row[-1])) for row in transform._ROWS[n])
+        monkeypatch.setitem(transform._ROWS, n, rows)
+        clear_caches()
+
+    return patch
 
 
 @pytest.fixture
-def triad_offsets(monkeypatch):
+def triad_offsets(catalog_offsets):
     """Gives the named n=3 tokens new root offsets, with cleared caches."""
-
-    def patch(**offsets):
-        rows = tuple((*row[:-1], offsets.get(row[0], row[-1])) for row in transform._ROWS[3])
-        monkeypatch.setitem(transform._ROWS, 3, rows)
-        _clear_catalog_caches()
-
-    yield patch
-    monkeypatch.undo()
-    _clear_catalog_caches()
+    return partial(catalog_offsets, 3)
 
 
 def _failed(n):
@@ -262,6 +264,65 @@ def test_two_tokens_with_one_offset_fail_degrees_and_coverage(triad_offsets):
         "FAIL region-degrees [n=3]: waterbug region 0",
         "FAIL catalog-coverage [n=3]: C+",
     } <= _failed(3)
+
+
+# The first token of each kind, its offset one semitone up.  The region
+# builders refuse each but the pole's, and that message, which names the
+# token and the move, is the FAIL line of every claim that reads a region.
+WRONG_OFFSETS = [
+    (3, "R", 10, "FAIL arthropod-partition [n=3]: R sends E+ to D-, outside its region"),
+    (3, "S", 2, "FAIL arthropod-partition [n=3]: S sends E+ to F#-, outside its region"),
+    (3, "P", 1, "FAIL arthropod-partition [n=3]: P sends C+ to C#-, outside its region"),
+    (3, "H", 9, "FAIL relation-conformance [n=3]: (H, C+)"),
+    (4, "R*", 5, "FAIL arthropod-partition [n=4]: R* sends B+ to E-, outside its region"),
+    (4, "S3(4)", 8, "FAIL arthropod-partition [n=4]: S3(4) sends B+ to G-, outside its region"),
+    (4, "S2", 1, "FAIL arthropod-partition [n=4]: S2 sends C+ to C#-, outside its region"),
+    (4, "O", 4, "FAIL relation-conformance [n=4]: (O, C+)"),
+    (6, "R**", 4, "FAIL arthropod-partition [n=6]: R** sends A#+ to D-, outside its region"),
+    (6, "SA(3)", 0, "FAIL arthropod-partition [n=6]: SA(3) sends A#+ to A#-, outside its region"),
+    (6, "S1", 1, "FAIL arthropod-partition [n=6]: S1 sends C+ to C#-, outside its region"),
+    (6, "Z", 3, "FAIL relation-conformance [n=6]: (Z, C+)"),
+]
+
+
+@pytest.mark.parametrize(
+    ("n", "token", "offset", "first"), WRONG_OFFSETS, ids=[f"{n}-{t}={o}" for n, t, o, _ in WRONG_OFFSETS]
+)
+def test_verify_names_a_wrong_offset_of_each_kind_without_raising(catalog_offsets, n, token, offset, first):
+    catalog_offsets(n, **{token: offset})
+    results = run_checks(n)
+    # every claim reports, the seven before the first region-reading one pass
+    assert len(results) == 24
+    assert all(r.passed for r in results[:7])
+    assert [r.line() for r in results if not r.passed][0] == first
+
+
+def test_verify_prints_every_line_for_a_wrong_offset_while_library_callers_raise(
+    triad_offsets, capsys
+):
+    triad_offsets(P=1)
+    assert cli.main(["verify", "--genus", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 25 and out[-1].startswith("24 checks, ")
+    assert "FAIL bridge-partition [n=3]: P sends C+ to C#-, outside its region" in out
+    # an invariant violation outside verify stays loud
+    for argv in (
+        ["region", "--genus", "3", "--kind", "bridge"],
+        ["export", "--genus", "3", "--kind", "bridge", "--containing", "C+"],
+        ["cycles", "--genus", "3", "--containing", "C+"],
+    ):
+        with pytest.raises(InvariantViolationError, match="P sends C\\+ to C#-"):
+            cli.main(argv)
+
+
+def test_ssd_neighbors_follow_a_changed_bridge_slide_offset(triad_offsets):
+    # filled before the tamper: the cache must not answer for the old offsets
+    c = parse_chord("C+", G3)
+    assert [str(x) for x in ssd_neighbors(c)] == ["C-", "E-"]
+    triad_offsets(P=1)
+    assert [str(x) for x in ssd_neighbors(c)] == ["C#-", "E-"]
+    triad_offsets(P=0, L=3)
+    assert [str(x) for x in ssd_neighbors(c)] == ["C-", "D#-"]
 
 
 def test_rebuilt_transformations_equal_and_hash_like_the_catalog():

@@ -52,7 +52,6 @@ from nearsym.region import (
     Complementarity,
     RegionKind,
     adjacency,
-    arthropod_members,
     arthropod_regions,
     bridge_regions,
     complementarity_pairs,
@@ -63,6 +62,8 @@ from nearsym.region import (
 from nearsym.symmetry import cycle_from_generator, symmetric_partition
 from nearsym.transform import Kind, apply, catalog, transformation, transformation_between
 from nearsym.voiceleading import VoiceLeading, catalog_relation, vl_relation
+
+from conftest import clear_caches
 
 K = 50  # a 4-cycle in the middle of the 90 four-chord cycles
 TAMPER_NAMES = (
@@ -280,22 +281,9 @@ def test_a_tampered_bridge_graph_fails_graph_shape(monkeypatch, n, tamper):
         assert failed == [f"FAIL region-degrees [n={n}]: {region.family} region 0", shape]
 
 
-def _clear_parent_caches():
-    for cached in (parent_symmetric_cell, arthropod_members, arthropod_regions, bridge_regions):
-        cached.cache_clear()
-
-
-@pytest.fixture
-def fresh_parent_caches(monkeypatch):
-    _clear_parent_caches()
-    yield
-    monkeypatch.undo()
-    _clear_parent_caches()
-
-
 @pytest.mark.parametrize("entry", list(_DISPLACED_NOTE), ids=lambda entry: f"{entry[0]}{entry[1]}")
 def test_a_displaced_note_one_semitone_off_fails_the_roundtrip(
-    monkeypatch, fresh_parent_caches, entry
+    monkeypatch, fresh_caches, entry
 ):
     monkeypatch.setitem(_DISPLACED_NOTE, entry, _DISPLACED_NOTE[entry] + 1)
     n, modality = entry
@@ -872,12 +860,8 @@ def test_an_oracle_reaches_none_of_the_functions_it_confirms(monkeypatch, oracle
     cases = domain()
     assert len(cases) == size
     # every cache is emptied, so no answer the forbidden functions gave
-    # before is read back; all_chords keeps its table, which holds the chords
-    # themselves
-    for module in _nearsym_modules():
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear") and value is not all_chords:
-                value.cache_clear()
+    # before is read back
+    clear_caches()
 
     def unreachable(name):
         def call(*args):
