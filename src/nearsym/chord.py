@@ -192,7 +192,10 @@ def all_chords(g: Genus) -> tuple[Chord, ...]:
     """The table of a genus's 24 chords, roots ascending, (+) before (-), so
     chord (root, m) sits at index ``2*root + (m is MINUS)``.  Built once,
     and the only chords there are: ``Chord``, ``parse_chord``,
-    ``find_chord`` and ``apply`` return its entries."""
+    ``find_chord`` and ``apply`` return its entries.  A genus that is no
+    ``Genus`` raises ``TypeError``; the check runs only on a cache miss."""
+    if not isinstance(g, Genus):
+        raise TypeError(f"all_chords needs a Genus, not {g!r}")
     return tuple(_new_chord(g, root, modality) for root in range(12) for modality in Modality)
 
 

@@ -19,10 +19,14 @@ neighbour bitmask, and a ``free`` mask holds the unvisited ids above the
 path's start; the walk steps through a mask's set bits lowest first.  A path
 starts only where at least 4 ids lie at or above it, enough to make a cycle.
 
-Both kinds come from one loop over the symmetric cells.  Edges are arithmetic
-on the catalog offsets: each (+) member's image under each token of the
-region's kinds, labelled with its kind's relation (``catalog_relation``:
-relative P0,1, arthropod slide P2,0, bridge slide P(n-2),0).  Their oracles
+Each kind has its own builder, which names its members and the token kinds
+that join them: ``arthropod_regions`` perturbs each symmetric cell and joins
+by relatives and arthropod slides, ``bridge_regions`` takes both modalities
+over each cell of roots and joins by bridge slides.  Both hand one region at
+a time to the same kind-free ``_region``.  Edges are arithmetic on the
+catalog offsets: each (+) member's image under each of the region's tokens,
+labelled with its kind's relation (``catalog_relation``: relative P0,1,
+arthropod slide P2,0, bridge slide P(n-2),0).  Their oracles
 in ``verify`` are ``catalog-coverage`` (each chord's 2n images are the
 opposite-modality members of its two regions), ``region-degrees`` and
 ``relation-conformance``.
@@ -100,17 +104,12 @@ class Region:
         return f"Region({self.family}_{self.id}, {len(self.members)} chords)"
 
 
-# The token kinds that label each region kind's edges; poles are not edges.
-_EDGE_KINDS = {
-    RegionKind.ARTHROPOD: frozenset({Kind.RELATIVE, Kind.ARTHROPOD_SLIDE}),
-    RegionKind.BRIDGE: frozenset({Kind.BRIDGE_SLIDE}),
-}
-
-
-def _labeled_edges(members: tuple[Chord, ...], allowed: frozenset[Kind]) -> tuple[Edge, ...]:
-    """Each (+) member's edge to its image under each catalog token of an
-    allowed kind; the image must be a member too."""
-    tokens = [t for t in catalog(members[0].genus) if t.kind in allowed]
+def _region(kind: RegionKind, id: int, members: tuple[Chord, ...], edge_kinds: tuple[Kind, ...]) -> Region:
+    """The region of these members whose edges join each (+) member to its
+    image under each catalog token of edge_kinds; the image must be a member
+    too.  Poles label no edge."""
+    g = members[0].genus
+    tokens = [t for t in catalog(g) if t.kind in edge_kinds]
     edges = []
     for x in (m for m in members if m.modality is Modality.PLUS):
         for t in tokens:
@@ -120,7 +119,7 @@ def _labeled_edges(members: tuple[Chord, ...], allowed: frozenset[Kind]) -> tupl
             a, b = sorted((x, y), key=lambda c: c.sort_key)
             edges.append(Edge(a, b, t, catalog_relation(t)))
     edges.sort(key=lambda e: (e.a.sort_key, e.b.sort_key))
-    return tuple(edges)
+    return Region(kind, g, id, members, tuple(edges), _pitch_union(members))
 
 
 def _pitch_union(members: tuple[Chord, ...]) -> PcSet:
@@ -130,31 +129,28 @@ def _pitch_union(members: tuple[Chord, ...]) -> PcSet:
     return union
 
 
-def _regions(g: Genus, kind: RegionKind) -> tuple[Region, ...]:
-    """One region per symmetric cell, numbered by the cell's smallest pitch
-    class: the cell's 2n perturbations for an arthropod region, both
-    modalities over the cell's roots for a bridge region."""
-    regions = []
-    for cell in symmetric_partition(g.n):
-        if kind is RegionKind.ARTHROPOD:
-            members = arthropod_collection(cell)
-        else:
-            members = bridge_members(Chord(g, min(cell), Modality.PLUS))
-        edges = _labeled_edges(members, _EDGE_KINDS[kind])
-        regions.append(Region(kind, g, min(cell), members, edges, _pitch_union(members)))
-    return tuple(regions)
-
-
 @cache
 def arthropod_regions(g: Genus) -> tuple[Region, ...]:
-    """One region per symmetric cell: 4 waterbugs, 3 spiders, or 2 centipedes."""
-    return _regions(g, RegionKind.ARTHROPOD)
+    """One region per symmetric cell, numbered by its smallest pitch class:
+    the cell's 2n perturbations, joined by relatives and arthropod slides.
+    4 waterbugs, 3 spiders, or 2 centipedes."""
+    kinds = (Kind.RELATIVE, Kind.ARTHROPOD_SLIDE)
+    return tuple(
+        _region(RegionKind.ARTHROPOD, min(cell), arthropod_collection(cell), kinds)
+        for cell in symmetric_partition(g.n)
+    )
 
 
 @cache
 def bridge_regions(g: Genus) -> tuple[Region, ...]:
-    """One region per root cell: 4 hexatonic, 3 octatonic, or 2 dodecatonic."""
-    return _regions(g, RegionKind.BRIDGE)
+    """One region per cell of roots, numbered by its lowest root: both
+    modalities over the cell, joined by bridge slides.  4 hexatonic,
+    3 octatonic, or 2 dodecatonic."""
+    kinds = (Kind.BRIDGE_SLIDE,)
+    return tuple(
+        _region(RegionKind.BRIDGE, root, bridge_members(Chord(g, root, Modality.PLUS)), kinds)
+        for root in range(12 // g.n)
+    )
 
 
 def region_of(c: Chord, kind: RegionKind) -> Region:
@@ -173,7 +169,7 @@ def region_of(c: Chord, kind: RegionKind) -> Region:
 
 
 # Membership is arithmetic on the chord and reads no built region, so that
-# _regions can call bridge_members while it builds the regions.
+# bridge_regions can call bridge_members while it builds the regions.
 @cache
 def arthropod_members(c: Chord) -> tuple[Chord, ...]:
     """The 2n chords generated from c's parent symmetric cell; cached, as

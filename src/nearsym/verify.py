@@ -15,16 +15,20 @@ offsets from the partition-and-shift definition of each slide.
 The claims form one ordered table, ``_CLAIMS``: each entry is a name, a
 scope (Z12, or each genus), the cases and the predicate, and ``run_checks``
 walks it in order.  The cases and the predicate read one facts object per
-scope, which builds each table (the chords, the regions, the cycle walks)
-the first time a claim reads it and keeps it until the scope is done.  So a
-claim pays for the tables it reads first, and the claims before it run
+scope, which builds each table (the chords, each kind's regions, the cycle
+walks) the first time a claim reads it and keeps it until the scope is done.
+So a claim pays for the tables it reads first, and the claims before it run
 without them: at n=3 the seven claims before arthropod-partition build no
 region.  A library fault the claim runs into, an ``InvariantViolationError``
 such as a region builder's refusal of a catalog image outside the region,
 fails that claim with the error's message, and the next claim runs; any
-other exception propagates.  The oracles read region membership by arithmetic
-(``arthropod_members``, ``bridge_members``), never through a built region,
-whose edges ``apply`` labels.
+other exception propagates.  Each region kind has its own tables, and no
+table holds both kinds, so a fault in one kind's builder fails only the
+claims that read that kind (region-degrees reads both): with R's offset
+wrong at n=3, ``FAIL arthropod-partition [n=3]: R sends E+ to D-, outside
+its region``, and every bridge claim passes.  The oracles read region
+membership by arithmetic (``arthropod_members``, ``bridge_members``), never
+through a built region, whose edges ``apply`` labels.
 
 vl-oracle-agreement's re-derivation, ``_naive_vl``, walks every bijection
 between the two chords whose steps are all at most a whole tone, and shares
@@ -340,6 +344,16 @@ class _Facts:
         return value
 
 
+def _members(regions: Sequence[Region]) -> list[tuple[Region, Chord]]:
+    return [(r, m) for r in regions for m in r.members]
+
+
+def _tiles(facts: _Facts, regions: Sequence[Region]) -> bool:
+    """The family has its count of regions, which list every chord once."""
+    counts = Counter(m for _, m in _members(regions))
+    return len(regions) == EXPECTED_REGION_COUNTS[facts.n] and counts == Counter(set(facts.chords))
+
+
 def _forms(facts: _Facts) -> list[tuple | None]:
     """Each set's (prime form, interval-class vector) at its mask, as the
     module docstring explains.  Equal entries are shared: there are 223
@@ -366,26 +380,23 @@ _TABLES: dict[str, Callable[[_Facts], Any]] = {
     "cells": lambda f: symmetric_partition(f.n),
     "cat": lambda f: catalog(f.g),
     "slides": lambda f: [t for t in f.cat if t.kind in (Kind.ARTHROPOD_SLIDE, Kind.BRIDGE_SLIDE)],
-    "regions": lambda f: {RegionKind.ARTHROPOD: arthropod_regions(f.g), RegionKind.BRIDGE: bridge_regions(f.g)},
-    "bridge": lambda f: f.regions[RegionKind.BRIDGE],
-    "members": lambda f: {kind: [(r, m) for r in rs for m in r.members] for kind, rs in f.regions.items()},
-    "adj": lambda f: {r: adjacency(r) for rs in f.regions.values() for r in rs},
+    # each region kind on its own, so a fault in one kind's builder fails
+    # only the claims that read that kind
+    "arthropod": lambda f: arthropod_regions(f.g),
+    "bridge": lambda f: bridge_regions(f.g),
     "pairs": lambda f: [(x, y) for x in f.chords for y in f.chords],
     "moves": lambda f: [(t, c) for t in f.cat for c in f.chords],
     "notes": lambda f: [(cell, note) for cell in f.cells for note in cell],
     "perturbations": lambda f: [(cell, note, d) for cell, note in f.notes for d in ("down", "up")],
     # Facts about the whole genus, read by every case: the 12/n cells hold
     # each pitch class once, the 24 chords have distinct pitch-class sets, and
-    # each family has its count of regions, which list every chord once.
+    # each family of regions tiles the chords.
     "partitioned": lambda f: (
         len(f.cells) == 12 // f.n and sorted(p for cell in f.cells for p in cell) == list(range(12))
     ),
     "distinct": lambda f: len(f.chords) == 24 == len({c.pitch_classes() for c in f.chords}),
-    "tiled": lambda f: {
-        kind: len(rs) == EXPECTED_REGION_COUNTS[f.n]
-        and Counter(m for _, m in f.members[kind]) == Counter(set(f.chords))
-        for kind, rs in f.regions.items()
-    },
+    "arthropod_tiled": lambda f: _tiles(f, f.arthropod),
+    "bridge_tiled": lambda f: _tiles(f, f.bridge),
     "comp": lambda f: complementarity_pairs(f.g),
     "paired": lambda f: {token for pair in f.comp.pairs for token in pair},
     "matched": lambda f: (
@@ -397,7 +408,7 @@ _TABLES: dict[str, Callable[[_Facts], Any]] = {
     # dodecatonic regions exhaust the chromatic, so theirs coincide
     "unions": lambda f: len({r.pitch_union for r in f.bridge}) == (1 if f.n == 6 else len(f.bridge)),
     # per bridge region, (cycle-counts failure, cycle-structure failure)
-    "cycle_failures": lambda f: [_cycle_checks(r, f.adj[r]) for r in f.bridge],
+    "cycle_failures": lambda f: [_cycle_checks(r, adjacency(r)) for r in f.bridge],
 }
 
 
@@ -450,9 +461,8 @@ def _inversional(facts: _Facts, case: tuple[PcSet, int]) -> bool:
 
 def _in_region(facts: _Facts, case: tuple[Region, Chord]) -> bool:
     r, m = case
-    n = facts.n
-    balanced = sum(x.modality is Modality.PLUS for x in r.members) == n
-    return facts.tiled[r.kind] and len(r.members) == 2 * n and balanced and m in region_of(m, r.kind).members
+    balanced = sum(x.modality is Modality.PLUS for x in r.members) == facts.n
+    return len(r.members) == 2 * facts.n and balanced and m in region_of(m, r.kind).members
 
 
 def _arthropod_counts(facts: _Facts, case: tuple[Region, Chord]) -> bool:
@@ -487,11 +497,10 @@ def _covers(facts: _Facts, c: Chord) -> bool:
 # edges to count.  Arthropod graphs have degree n and one relative edge
 # per member, bridge graphs degree n-1; both have n * degree edges.
 def _degrees(facts: _Facts, r: Region) -> bool:
-    n = facts.n
-    degree = n - 1 if r.kind is RegionKind.BRIDGE else n
+    degree = facts.n - 1 if r.kind is RegionKind.BRIDGE else facts.n
     relatives = Counter(m for e in r.edges if e.transformation.kind is Kind.RELATIVE for m in {e.a, e.b})
     ones = r.kind is RegionKind.BRIDGE or all(relatives[m] == 1 for m in r.members)
-    return len(r.edges) == n * degree and ones and all(len(facts.adj[r][m]) == degree for m in r.members)
+    return len(r.edges) == facts.n * degree and ones and all(len(ns) == degree for ns in adjacency(r).values())
 
 
 # Every bridge graph is the crown graph on n + n chords: K(n,n) across
@@ -502,7 +511,7 @@ def _degrees(facts: _Facts, r: Region) -> bool:
 # hexagon C6, for n = 4 the cube Q3.
 def _crown(facts: _Facts, case: tuple[Region, Chord]) -> bool:
     r, m = case
-    across, neighbours = set(_opposite(r.members, m)), facts.adj[r][m]
+    across, neighbours = set(_opposite(r.members, m)), adjacency(r)[m]
     return len(across) == facts.n and len(neighbours) == facts.n - 1 and len(across - neighbours) == 1
 
 
@@ -529,10 +538,16 @@ _CLAIMS: list[tuple[str, str, Callable[[_Facts], Sequence[Any]], Callable[[_Fact
     ("vl-identity", "genus", lambda f: f.chords, lambda f, c: vl_relation(c, c) == VoiceLeading(0, 0)),
     ("vl-symmetry", "genus", lambda f: f.pairs, lambda f, p: vl_relation(*p) == vl_relation(p[1], p[0])),
     ("vl-oracle-agreement", "genus", lambda f: f.pairs, lambda f, p: vl_relation(*p) == _naive_vl(*p)),
-    ("arthropod-partition", "genus", lambda f: f.members[RegionKind.ARTHROPOD], _in_region),
-    ("bridge-partition", "genus", lambda f: f.members[RegionKind.BRIDGE], _in_region),
-    ("arthropod-counting", "genus", lambda f: f.members[RegionKind.ARTHROPOD], _arthropod_counts),
-    ("bridge-counting", "genus", lambda f: f.members[RegionKind.BRIDGE], _bridge_counts),
+    (
+        "arthropod-partition", "genus", lambda f: _members(f.arthropod),
+        lambda f, case: f.arthropod_tiled and _in_region(f, case),
+    ),
+    (
+        "bridge-partition", "genus", lambda f: _members(f.bridge),
+        lambda f, case: f.bridge_tiled and _in_region(f, case),
+    ),
+    ("arthropod-counting", "genus", lambda f: _members(f.arthropod), _arthropod_counts),
+    ("bridge-counting", "genus", lambda f: _members(f.bridge), _bridge_counts),
     ("involution", "genus", lambda f: f.moves, lambda f, m: apply(m[0], apply(*m)) == m[1]),
     ("modality-swap", "genus", lambda f: f.moves, lambda f, m: apply(*m).modality is not m[1].modality),
     ("relation-conformance", "genus", lambda f: f.moves, _conforms),
@@ -546,8 +561,8 @@ _CLAIMS: list[tuple[str, str, Callable[[_Facts], Sequence[Any]], Callable[[_Fact
         "bridge-pitch-unions", "genus", lambda f: f.bridge,
         lambda f, r: f.unions and set_class(r.pitch_union).forte_name == EXPECTED_BRIDGE_SET_CLASSES[f.n],
     ),
-    ("region-degrees", "genus", lambda f: [*f.regions[RegionKind.ARTHROPOD], *f.bridge], _degrees),
-    ("graph-shape", "genus", lambda f: f.members[RegionKind.BRIDGE], _crown),
+    ("region-degrees", "genus", lambda f: [*f.arthropod, *f.bridge], _degrees),
+    ("graph-shape", "genus", lambda f: _members(f.bridge), _crown),
     ("cycle-counts", "genus", lambda f: [c for c, _ in f.cycle_failures], lambda f, failure: not failure),
     ("cycle-structure", "genus", lambda f: [s for _, s in f.cycle_failures], lambda f, failure: not failure),
     ("complementarity", "genus", lambda f: f.slides, lambda f, t: f.matched and t.token in f.paired),

@@ -238,6 +238,43 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_chord.py::test_the_constructor_returns_the_table_entry_for_every_root",
         ),
     ),
+    Mutant(
+        "bridge-fact-reads-arthropod-regions",
+        "src/nearsym/verify.py",
+        '"bridge": lambda f: bridge_regions(f.g),',
+        '"bridge": lambda f: arthropod_regions(f.g),',
+        (
+            "tests/test_verify.py::test_a_claim_builds_only_the_tables_it_reads",
+            "tests/test_golden_cli.py::test_cli_output_matches_golden",
+        ),
+    ),
+    Mutant(
+        "arthropod-partition-reads-bridge-tiling",
+        "src/nearsym/verify.py",
+        "lambda f, case: f.arthropod_tiled and _in_region(f, case),",
+        "lambda f, case: f.bridge_tiled and _in_region(f, case),",
+        (
+            "tests/test_verify.py::test_a_claim_builds_only_the_tables_it_reads",
+            "tests/test_transform.py::test_a_wrong_offset_fails_only_the_claims_that_read_its_region_kind",
+        ),
+    ),
+    Mutant(
+        "arthropod-builder-labels-bridge-slides",
+        "src/nearsym/region.py",
+        "kinds = (Kind.RELATIVE, Kind.ARTHROPOD_SLIDE)",
+        "kinds = (Kind.RELATIVE, Kind.ARTHROPOD_SLIDE, Kind.BRIDGE_SLIDE)",
+        (
+            "tests/test_region.py::test_edge_counts_and_degrees",
+            "tests/test_golden_library.py::test_library_matches_golden",
+        ),
+    ),
+    Mutant(
+        "all-chords-skips-its-genus-check",
+        "src/nearsym/chord.py",
+        '    if not isinstance(g, Genus):\n        raise TypeError(f"all_chords needs a Genus, not {g!r}")\n',
+        "",
+        ("tests/test_chord.py::test_chord_lookups_reject_a_genus_that_is_no_genus",),
+    ),
 )
 
 

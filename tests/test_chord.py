@@ -314,6 +314,20 @@ def test_the_constructor_rejects_bad_input(g, root, m):
         Chord(g, root, m)
 
 
+@pytest.mark.parametrize("g", [3, 3.0, "3", None], ids=repr)
+def test_chord_lookups_reject_a_genus_that_is_no_genus(g):
+    # 3 and 3.0 hash like the triad genus: neither may build or read a
+    # table keyed by itself, as Chord(3, 0, PLUS) already refuses
+    before = all_chords.cache_info().currsize
+    for lookup in (all_chords, lambda g: parse_chord("C+", g)):
+        with pytest.raises(TypeError, match="needs a Genus"):
+            lookup(g)
+    assert all_chords.cache_info().currsize == before
+    # a bad text is named before the genus is read
+    with pytest.raises(ChordParseError):
+        parse_chord("H+", g)
+
+
 def test_copies_of_a_chord_are_the_chord():
     # one object per chord: equality is identity, and the hash is object's
     assert Chord.__eq__ is object.__eq__ and Chord.__hash__ is object.__hash__

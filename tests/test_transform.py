@@ -272,15 +272,15 @@ def test_two_tokens_with_one_offset_fail_degrees_and_coverage(triad_offsets):
 WRONG_OFFSETS = [
     (3, "R", 10, "FAIL arthropod-partition [n=3]: R sends E+ to D-, outside its region"),
     (3, "S", 2, "FAIL arthropod-partition [n=3]: S sends E+ to F#-, outside its region"),
-    (3, "P", 1, "FAIL arthropod-partition [n=3]: P sends C+ to C#-, outside its region"),
+    (3, "P", 1, "FAIL bridge-partition [n=3]: P sends C+ to C#-, outside its region"),
     (3, "H", 9, "FAIL relation-conformance [n=3]: (H, C+)"),
     (4, "R*", 5, "FAIL arthropod-partition [n=4]: R* sends B+ to E-, outside its region"),
     (4, "S3(4)", 8, "FAIL arthropod-partition [n=4]: S3(4) sends B+ to G-, outside its region"),
-    (4, "S2", 1, "FAIL arthropod-partition [n=4]: S2 sends C+ to C#-, outside its region"),
+    (4, "S2", 1, "FAIL bridge-partition [n=4]: S2 sends C+ to C#-, outside its region"),
     (4, "O", 4, "FAIL relation-conformance [n=4]: (O, C+)"),
     (6, "R**", 4, "FAIL arthropod-partition [n=6]: R** sends A#+ to D-, outside its region"),
     (6, "SA(3)", 0, "FAIL arthropod-partition [n=6]: SA(3) sends A#+ to A#-, outside its region"),
-    (6, "S1", 1, "FAIL arthropod-partition [n=6]: S1 sends C+ to C#-, outside its region"),
+    (6, "S1", 1, "FAIL bridge-partition [n=6]: S1 sends C+ to C#-, outside its region"),
     (6, "Z", 3, "FAIL relation-conformance [n=6]: (Z, C+)"),
 ]
 
@@ -295,6 +295,42 @@ def test_verify_names_a_wrong_offset_of_each_kind_without_raising(catalog_offset
     assert len(results) == 24
     assert all(r.passed for r in results[:7])
     assert [r.line() for r in results if not r.passed][0] == first
+
+
+# A wrong edge offset at n=3 for one token of each region kind, and every
+# FAIL line it gives.  Only the claims that read that kind's regions carry
+# its builder's message; region-degrees covers both kinds, and every claim
+# of the other kind passes.
+ONE_KIND_WRONG = {
+    "R": (10, [
+        "FAIL arthropod-partition [n=3]: R sends E+ to D-, outside its region",
+        "FAIL arthropod-counting [n=3]: R sends E+ to D-, outside its region",
+        "FAIL relation-conformance [n=3]: (R, C+)",
+        "FAIL region-closure [n=3]: (R, C+)",
+        "FAIL catalog-coverage [n=3]: C+",
+        "FAIL region-degrees [n=3]: R sends E+ to D-, outside its region",
+    ]),
+    "P": (1, [
+        "FAIL bridge-partition [n=3]: P sends C+ to C#-, outside its region",
+        "FAIL bridge-counting [n=3]: P sends C+ to C#-, outside its region",
+        "FAIL relation-conformance [n=3]: (P, C+)",
+        "FAIL region-closure [n=3]: (P, C+)",
+        "FAIL slide-labels [n=3]: (P, C+)",
+        "FAIL catalog-coverage [n=3]: C+",
+        "FAIL bridge-pitch-unions [n=3]: P sends C+ to C#-, outside its region",
+        "FAIL region-degrees [n=3]: P sends C+ to C#-, outside its region",
+        "FAIL graph-shape [n=3]: P sends C+ to C#-, outside its region",
+        "FAIL cycle-counts [n=3]: P sends C+ to C#-, outside its region",
+        "FAIL cycle-structure [n=3]: P sends C+ to C#-, outside its region",
+    ]),
+}
+
+
+@pytest.mark.parametrize("token", ONE_KIND_WRONG)
+def test_a_wrong_offset_fails_only_the_claims_that_read_its_region_kind(triad_offsets, token):
+    offset, lines = ONE_KIND_WRONG[token]
+    triad_offsets(**{token: offset})
+    assert [r.line() for r in run_checks(3) if not r.passed] == lines
 
 
 def test_verify_prints_every_line_for_a_wrong_offset_while_library_callers_raise(
@@ -344,7 +380,7 @@ def test_transformation_hash_agrees_with_equality():
             if t == u:
                 assert hash(t) == hash(u)
     assert len({hash(t) for t in everything}) == len(everything) == 26
-    # the hash is fixed at construction but is no dataclass field
+    # the hash is object's, and no dataclass field holds one
     assert [f.name for f in dataclasses.fields(transform.Transformation)] == [
         "genus", "token", "kind", "invariant", "moved", "offset"
     ]

@@ -18,7 +18,8 @@ prime-form-invariance alone: between them they need the T1 comparison, the
 I0 comparison and the interval-vector half of the check.  Every other check
 has a tamper of its own at the ``verify`` namespace, with the exact FAIL
 lines it gives.  A claim builds only the tables it reads, so the claims
-before the first region-reading one run while no region can be built; and
+before the first region-reading one run while no region can be built, and
+one kind's partition claims pass while the other kind's builder refuses; and
 each oracle helper runs over its whole domain with the functions it confirms
 made to raise."""
 
@@ -40,6 +41,7 @@ from nearsym.chord import (
     parse_chord,
     perturb,
 )
+from nearsym.errors import InvariantViolationError
 from nearsym.pcset import (
     FORTE_NAMES,
     SetClass,
@@ -816,6 +818,24 @@ def test_a_claim_builds_only_the_tables_it_reads(monkeypatch):
     ]
     assert [r.line() for r in reported] == [f"PASS {name} [n=3]" for name in first]
     assert [name for name, scope, _, _ in verify._CLAIMS if scope == "genus"][7] == "arthropod-partition"
+
+    # each region kind is a table of its own: with one builder refusing, as
+    # a library fault does, the other kind's claims build and pass
+    def refusing(kind):
+        def builder(g):
+            raise InvariantViolationError(f"no {kind} region")
+
+        return builder
+
+    for kind, passing in (
+        ("bridge", ["arthropod-partition", "arthropod-counting"]),
+        ("arthropod", ["bridge-partition"]),
+    ):
+        monkeypatch.undo()
+        monkeypatch.setattr(verify, f"{kind}_regions", refusing(kind))
+        results = {r.name: r for r in verify.run_checks(3)}
+        assert all(results[name].passed for name in passing), kind
+        assert results[f"{kind}-partition"].line() == f"FAIL {kind}-partition [n=3]: no {kind} region"
 
 
 def _nearsym_modules():
