@@ -105,8 +105,9 @@ class Chord:
 
     There is one object per chord: ``Chord(g, root, m)`` returns the entry
     of the table ``all_chords(g)``, so equality is identity and the hash is
-    ``object``'s, and dict and cache lookups call no Python method.  The
-    pitch-class set is derived from the genus template, never stored.
+    ``object``'s, and dict and cache lookups call no Python method.  Each
+    entry also holds its pitch-class set, which ``all_chords`` derives from
+    the genus template when it builds the table.
     """
 
     genus: Genus
@@ -122,8 +123,8 @@ class Chord:
         return Chord, (self.genus, self.root, self.modality)
 
     def pitch_classes(self) -> PcSet:
-        """The chord's pitch classes: a table lookup keyed by template and root."""
-        return _shifted(self.genus.template(self.modality), self.root)
+        """The chord's pitch classes, stored in its table entry."""
+        return self._pitch_classes
 
     @property
     def sort_key(self) -> tuple[int, str]:
@@ -138,11 +139,6 @@ class Chord:
 
     def __repr__(self) -> str:
         return f"Chord({self.name()!r}, n={self.genus.n})"
-
-
-@cache
-def _shifted(template: tuple[int, ...], root: int) -> PcSet:
-    return frozenset((root + i) % 12 for i in template)
 
 
 class Perturbation(NamedTuple):
@@ -202,7 +198,8 @@ def all_chords(g: Genus) -> tuple[Chord, ...]:
 def _new_chord(g: Genus, root: int, modality: Modality) -> Chord:
     """A table entry; only ``all_chords`` builds one."""
     c = object.__new__(Chord)
-    vars(c).update(genus=g, root=root, modality=modality)
+    pcs = frozenset((root + i) % 12 for i in g.template(modality))
+    vars(c).update(genus=g, root=root, modality=modality, _pitch_classes=pcs)
     return c
 
 

@@ -2,7 +2,7 @@
 
 Subcommands: partitions, apply, relate, region, cycles, export, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 domain error (wrong genus, invalid chord for the genus, and similar),
+3 domain error (a transformation token of another genus),
 74 standard output cannot be written (a full disk, ``> /dev/full``; sysexits
 EX_IOERR), 141 standard output closed early by its reader
 (``nearsym cycles ... | head``; 128 + SIGPIPE, the status a shell gives a
@@ -19,13 +19,7 @@ from dataclasses import asdict
 from functools import cache
 
 from .chord import GENERA, NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus, parse_chord
-from .errors import (
-    ChordParseError,
-    GenusMismatchError,
-    NotAMemberError,
-    TokenParseError,
-    UnsupportedCardinalityError,
-)
+from .errors import ChordParseError, GenusMismatchError, TokenParseError
 from .pcset import set_class
 from .region import (
     RegionKind,
@@ -311,7 +305,7 @@ def _run(args) -> int:
         return EXIT_IO
     except (ChordParseError, TokenParseError) as exc:
         return _usage_error(str(exc))
-    except (UnsupportedCardinalityError, GenusMismatchError, NotAMemberError) as exc:
+    except GenusMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

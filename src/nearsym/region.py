@@ -313,22 +313,17 @@ class Complementarity(NamedTuple):
 
 def complementarity_pairs(g: Genus) -> Complementarity:
     """Arthropod slides matched to the bridge slide with held and moved
-    parts swapped, e.g. S3(4) with S4 = S4(3)."""
-    arthropod = [t for t in catalog(g) if t.kind is Kind.ARTHROPOD_SLIDE]
-    bridge = [t for t in catalog(g) if t.kind is Kind.BRIDGE_SLIDE]
-    by_parts = {(t.invariant, t.moved): t for t in bridge}
-    pairs = []
-    unpaired = []
-    matched = set()
-    for t in arthropod:
-        partner = by_parts.get((t.moved, t.invariant))
-        if partner is None:
-            unpaired.append(t.token)
-        else:
-            pairs.append((t.token, partner.token))
-            matched.add(partner.token)
-    unpaired.extend(t.token for t in bridge if t.token not in matched)
-    return Complementarity(tuple(pairs), tuple(unpaired))
+    parts swapped, e.g. S3(4) with S4 = S4(3); every slide in no pair is
+    unpaired, in catalog order."""
+    slides = [t for t in catalog(g) if t.kind in (Kind.ARTHROPOD_SLIDE, Kind.BRIDGE_SLIDE)]
+    bridge = {(t.invariant, t.moved): t.token for t in slides if t.kind is Kind.BRIDGE_SLIDE}
+    pairs = tuple(
+        (t.token, bridge[t.moved, t.invariant])
+        for t in slides
+        if t.kind is Kind.ARTHROPOD_SLIDE and (t.moved, t.invariant) in bridge
+    )
+    paired = set(chain.from_iterable(pairs))
+    return Complementarity(pairs, tuple(t.token for t in slides if t.token not in paired))
 
 
 def region_to_dict(region: Region, flats: bool = False) -> dict:

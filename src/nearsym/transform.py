@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .chord import Chord, GENERA, Genus, Modality, all_chords
+from .chord import Chord, Genus, Modality, all_chords
 from .errors import GenusMismatchError, InvariantViolationError, TokenParseError
 
 SlidePart = int | str | None
@@ -178,10 +178,10 @@ def transformation(token: str, g: Genus) -> Transformation:
     for t in catalog(g):
         if t.token == normalized:
             return t
-    for other in GENERA.values():
-        if other != g and any(t.token == normalized for t in catalog(other)):
+    for n, rows in _ROWS.items():
+        if n != g.n and any(row[0] == normalized for row in rows):
             raise GenusMismatchError(
-                f"transformation {normalized!r} belongs to the n={other.n} genus, not n={g.n}"
+                f"transformation {normalized!r} belongs to the n={n} genus, not n={g.n}"
             )
     raise TokenParseError(f"unknown transformation token: {token!r}")
 

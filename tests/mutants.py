@@ -275,6 +275,40 @@ MUTANTS: tuple[Mutant, ...] = (
         "",
         ("tests/test_chord.py::test_chord_lookups_reject_a_genus_that_is_no_genus",),
     ),
+    Mutant(
+        "cli-maps-not-a-member-to-exit-3",
+        "src/nearsym/cli.py",
+        "except GenusMismatchError as exc:",
+        'except (GenusMismatchError, sys.modules["nearsym.errors"].NotAMemberError) as exc:',
+        ("tests/test_cli.py::test_a_library_fault_inside_a_command_raises_instead_of_exiting_3",),
+    ),
+    Mutant(
+        "chord-table-reads-the-plus-template",
+        "src/nearsym/chord.py",
+        "for i in g.template(modality))",
+        "for i in g.plus_template)",
+        (
+            "tests/test_chord.py::test_pitch_classes",
+            "tests/test_chord.py::test_pitch_classes_lookup_matches_the_template_for_all_72_chords",
+        ),
+    ),
+    Mutant(
+        "unpaired-drops-the-bridge-slides",
+        "src/nearsym/region.py",
+        "tuple(t.token for t in slides if t.token not in paired)",
+        "tuple(t.token for t in slides if t.token not in paired and t.kind is Kind.ARTHROPOD_SLIDE)",
+        ("tests/test_region.py::test_a_slide_whose_parts_match_no_partner_leaves_both_unpaired",),
+    ),
+    Mutant(
+        "token-of-another-genus-is-a-parse-error",
+        "src/nearsym/transform.py",
+        'raise GenusMismatchError(\n                f"transformation {normalized!r}',
+        'raise TokenParseError(\n                f"transformation {normalized!r}',
+        (
+            "tests/test_transform.py::test_token_errors",
+            "tests/test_cli.py::test_apply_wrong_genus_token_is_a_domain_error",
+        ),
+    ),
 )
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearsym.chord import (
@@ -54,8 +54,8 @@ def test_pitch_classes_lookup_matches_the_template_for_all_72_chords():
     for g in (G3, G4, G6):
         for c in all_chords(g):
             expected = frozenset((c.root + i) % 12 for i in g.template(c.modality))
-            assert c.pitch_classes() == expected  # first call fills the table
-            assert c.pitch_classes() == expected  # a repeat call reads it
+            assert c.pitch_classes() == expected  # the set the table entry holds
+            assert c.pitch_classes() == expected  # a repeat call returns it again
             count += 1
     assert count == 72
 
@@ -139,6 +139,8 @@ def test_the_parse_memo_is_bounded():
     st.one_of(st.text(alphabet="ABCDEFGHcbx#♯♭+- \t", max_size=6), st.text(max_size=6)),
     st.sampled_from([G3, G4, G6]),
 )
+# a well-formed text outside the triads on every run, not only when drawn
+@example(" Bb-", G6)
 def test_parse_chord_agrees_with_parse_note_and_the_modality_rule(text, g):
     # the unmemoised rule: strip, a final + or -, and a note before it
     s = text.strip()
@@ -170,6 +172,9 @@ def test_perturb_rejects_bad_input():
         perturb({8, 0, 4}, 1, "down")  # note outside the cell
     with pytest.raises(ValueError):
         perturb({0, 4, 7}, 0, "down")  # not a symmetric cell
+    for cell in ({0, 1, 2}, set()):
+        with pytest.raises(ValueError, match="is not a symmetric partition cell"):
+            arthropod_collection(cell)
 
 
 def test_arthropod_collections_partition_each_genus():

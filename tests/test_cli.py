@@ -15,6 +15,7 @@ import nearsym.cli
 import nearsym.pcset
 from nearsym.chord import NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus
 from nearsym.cli import EXIT_BROKEN_PIPE, EXIT_IO, main
+from nearsym.errors import NotAMemberError, UnsupportedCardinalityError
 from nearsym.pcset import set_class
 from nearsym.region import bridge_regions, enumerate_smooth_cycles
 
@@ -105,6 +106,30 @@ def test_apply_wrong_genus_token_is_a_domain_error(capsys):
     code, _, err = run(capsys, "apply", "--genus", "3", "--chord", "C+", "--seq", "Z")
     assert code == 3
     assert "n=6" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "target", "value", "error"),
+    [
+        (
+            ["region", "--genus", "3", "--kind", "arthropod"],
+            "nearsym.chord._chords_by_pitch_classes", lambda g: {}, NotAMemberError,
+        ),
+        (
+            ["partitions", "--n", "6"],
+            "nearsym.symmetry.SUPPORTED_CARDINALITIES", (3, 4), UnsupportedCardinalityError,
+        ),
+    ],
+    ids=["not-a-member", "unsupported-cardinality"],
+)
+def test_a_library_fault_inside_a_command_raises_instead_of_exiting_3(
+    monkeypatch, fresh_caches, argv, target, value, error
+):
+    # no argv reaches either error, so each is a fault in the library, and
+    # a fault stays loud: exit 3 means a token of another genus only
+    monkeypatch.setattr(target, value)
+    with pytest.raises(error):
+        main(argv)
 
 
 def test_relate_examples(capsys):

@@ -10,6 +10,7 @@ import networkx as nx
 import pytest
 
 from nearsym import region as region_module
+from nearsym import transform as transform_module
 from nearsym import verify as verify_module
 from nearsym import voiceleading
 from nearsym.chord import all_chords, genus, parse_chord
@@ -31,6 +32,7 @@ from nearsym.transform import Kind, apply, catalog, transformation, transformati
 from nearsym.verify import EXPECTED_CYCLE_COUNTS, run_checks
 from nearsym.voiceleading import catalog_relation, vl_relation
 
+from conftest import clear_caches
 from golden_library import GOLDEN as GOLDEN_LIBRARY
 from golden_library import digest
 from oracles import crown_cycle_counts, crown_hamiltonian_cycles, cycle_oracle
@@ -365,6 +367,20 @@ def test_complementarity_pairs():
     }
     for g in ALL_GENERA:
         assert complementarity_pairs(g).unpaired == ()
+
+
+def test_a_slide_whose_parts_match_no_partner_leaves_both_unpaired(monkeypatch, fresh_caches):
+    # S moving a 4 is the swap of no bridge slide's parts, so S and the
+    # bridge slide it pairs with today, P, are both left over, in catalog order
+    rows = tuple(
+        ("S", kind, held, 4, offset) if token == "S" else (token, kind, held, moved, offset)
+        for token, kind, held, moved, offset in transform_module._ROWS[3]
+    )
+    monkeypatch.setitem(transform_module._ROWS, 3, rows)
+    clear_caches()
+    comp = complementarity_pairs(G3)
+    assert comp.pairs == (("N", "L"),)
+    assert comp.unpaired == ("S", "P")
 
 
 def test_dot_export():

@@ -264,6 +264,34 @@ def test_two_tokens_with_one_offset_fail_degrees_and_coverage(triad_offsets):
         "FAIL region-degrees [n=3]: waterbug region 0",
         "FAIL catalog-coverage [n=3]: C+",
     } <= _failed(3)
+    # outside verify the library stays loud about the two tokens
+    culprits = re.escape("2 transformations connect C+ to F-: ['S', 'N']")
+    with pytest.raises(InvariantViolationError, match=f"^{culprits}$"):
+        transformation_between(parse_chord("C+", G3), parse_chord("F-", G3))
+
+
+# A same-kind pair of tokens with their offsets swapped keeps every count,
+# relation and region claim true: each one gives one FAIL line, the
+# slide-labels re-derivation on the pair's first token at C+.
+OFFSET_SWAPS = [
+    (3, "S", "N", "FAIL slide-labels [n=3]: (S, C+)"),
+    (3, "P", "L", "FAIL slide-labels [n=3]: (P, C+)"),
+    (4, "S3(4)", "S3(2)", "FAIL slide-labels [n=4]: (S3(4), C+)"),
+    (4, "S3(4)", "S6", "FAIL slide-labels [n=4]: (S3(4), C+)"),
+    (4, "S3(2)", "S6", "FAIL slide-labels [n=4]: (S3(2), C+)"),
+    (4, "S2", "S4", "FAIL slide-labels [n=4]: (S2, C+)"),
+    (4, "S2", "S5", "FAIL slide-labels [n=4]: (S2, C+)"),
+    (4, "S4", "S5", "FAIL slide-labels [n=4]: (S4, C+)"),
+]
+
+
+@pytest.mark.parametrize(
+    ("n", "first", "second", "line"), OFFSET_SWAPS, ids=[f"{n}-{a}/{b}" for n, a, b, _ in OFFSET_SWAPS]
+)
+def test_a_same_kind_offset_swap_fails_only_slide_labels(catalog_offsets, n, first, second, line):
+    offsets = {t.token: t.offset for t in catalog(genus(n))}
+    catalog_offsets(n, **{first: offsets[second], second: offsets[first]})
+    assert [r.line() for r in run_checks(n) if not r.passed] == [line]
 
 
 # The first token of each kind, its offset one semitone up.  The region
