@@ -27,6 +27,8 @@ from .chord import (
 )
 from .errors import (
     ChordParseError,
+    CycleLengthError,
+    ForeignTokenError,
     GenusMismatchError,
     InvariantViolationError,
     NotAMemberError,

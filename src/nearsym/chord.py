@@ -57,10 +57,22 @@ class Direction(Enum):
     UP = "up"
 
 
-@dataclass(frozen=True)
+# Every Genus there is, by its field tuple: the three below, and any copy
+# with a field changed.
+_GENUS_OBJECTS: dict[tuple, Genus] = {}
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Genus:
     """One species column: cardinality plus both templates (intervals above
-    the root)."""
+    the root).
+
+    There is one object per field tuple: ``Genus(*fields)``, pickle, ``copy``
+    and ``dataclasses.replace`` give back ``TRIADS``, ``TETRADS`` or
+    ``HEXACHORDS``, so equality is identity and the hash is ``object``'s.
+    The caches keyed by a genus (``all_chords``, ``catalog``, the region
+    lists) hash it without a Python call.  A copy with any field changed is
+    another object."""
 
     n: int
     plus_name: str
@@ -68,11 +80,28 @@ class Genus:
     plus_template: tuple[int, ...]
     minus_template: tuple[int, ...]
 
+    def __new__(
+        cls,
+        n: int,
+        plus_name: str,
+        minus_name: str,
+        plus_template: tuple[int, ...],
+        minus_template: tuple[int, ...],
+    ) -> Genus:
+        key = (n, plus_name, minus_name, plus_template, minus_template)
+        if key not in _GENUS_OBJECTS:
+            g = _GENUS_OBJECTS[key] = object.__new__(cls)
+            vars(g).update(
+                n=n, plus_name=plus_name, minus_name=minus_name,
+                plus_template=plus_template, minus_template=minus_template,
+            )
+        return _GENUS_OBJECTS[key]
+
+    def __reduce__(self) -> tuple:
+        return Genus, (self.n, self.plus_name, self.minus_name, self.plus_template, self.minus_template)
+
     def template(self, modality: Modality) -> tuple[int, ...]:
         return self.plus_template if modality is Modality.PLUS else self.minus_template
-
-    def __hash__(self) -> int:
-        return hash(self.n)
 
     def __repr__(self) -> str:
         return f"Genus(n={self.n})"

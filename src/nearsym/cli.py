@@ -19,7 +19,7 @@ from dataclasses import asdict
 from functools import cache
 
 from .chord import GENERA, NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus, parse_chord
-from .errors import ChordParseError, GenusMismatchError, TokenParseError
+from .errors import ChordParseError, CycleLengthError, ForeignTokenError, TokenParseError
 from .pcset import set_class
 from .region import (
     RegionKind,
@@ -172,7 +172,7 @@ def cmd_cycles(args) -> int:
     region = region_of(chord, RegionKind.BRIDGE)
     try:
         chords, cycles = smooth_cycle_ids(region, args.min_len, args.max_len)
-    except ValueError as exc:  # the length window is out of range
+    except CycleLengthError as exc:
         return _usage_error(str(exc))
     max_len = args.max_len if args.max_len is not None else len(chords)
     write = sys.stdout.write
@@ -305,7 +305,7 @@ def _run(args) -> int:
         return EXIT_IO
     except (ChordParseError, TokenParseError) as exc:
         return _usage_error(str(exc))
-    except GenusMismatchError as exc:
+    except ForeignTokenError as exc:  # the one genus mismatch an argv can cause
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

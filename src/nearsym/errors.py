@@ -13,12 +13,21 @@ class GenusMismatchError(ValueError):
     """Raised when chords or transformations of different genera are mixed."""
 
 
+class ForeignTokenError(GenusMismatchError):
+    """Raised for a transformation token that belongs to another genus: the
+    one genus mismatch that input text can cause."""
+
+
 class ChordParseError(ValueError):
     """Raised for text that does not match the chord grammar."""
 
 
 class TokenParseError(ValueError):
     """Raised for text that names no known transformation."""
+
+
+class CycleLengthError(ValueError):
+    """Raised for a cycle-length window outside 4 <= min <= max <= region size."""
 
 
 class InvariantViolationError(RuntimeError):

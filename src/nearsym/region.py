@@ -49,7 +49,7 @@ from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .chord import Chord, Genus, Modality, all_chords, arthropod_collection, parent_symmetric_cell
-from .errors import InvariantViolationError
+from .errors import CycleLengthError, InvariantViolationError
 from .pcset import PcSet, set_class
 from .symmetry import symmetric_partition
 from .transform import Kind, Transformation, apply, catalog
@@ -59,6 +59,11 @@ from .voiceleading import VoiceLeading, catalog_relation
 class RegionKind(Enum):
     ARTHROPOD = "arthropod"
     BRIDGE = "bridge"
+
+
+# Bound once: on Python 3.11 each RegionKind.X read runs the enum class's
+# Python __getattr__ hook, which region_of would pay on every call.
+_ARTHROPOD, _BRIDGE = RegionKind
 
 
 ARTHROPOD_FAMILIES = {3: "waterbug", 4: "spider", 6: "centipede"}
@@ -98,7 +103,7 @@ class Region:
 
     def __hash__(self) -> int:
         # agrees with __eq__, since equal regions share kind, genus and id
-        return hash((self.genus.n, self.id, self.kind is RegionKind.BRIDGE))
+        return hash((self.genus.n, self.id, self.kind is _BRIDGE))
 
     def __repr__(self) -> str:
         return f"Region({self.family}_{self.id}, {len(self.members)} chords)"
@@ -160,10 +165,12 @@ def region_of(c: Chord, kind: RegionKind) -> Region:
     c's is number note % (12/n), for the note c's parent cell displaced: the
     cell is every (12/n)-th pitch class from that number.  Both region lists
     are ordered by these numbers, their region ids.  Any kind but a
-    ``RegionKind`` member raises ``ValueError``."""
-    if kind is RegionKind.ARTHROPOD:
+    ``RegionKind`` member raises ``ValueError``.  The two members are
+    compared as module globals, bound at import, so a call reads no
+    attribute of the enum class."""
+    if kind is _ARTHROPOD:
         return arthropod_regions(c.genus)[parent_symmetric_cell(c).note % (12 // c.genus.n)]
-    if kind is RegionKind.BRIDGE:
+    if kind is _BRIDGE:
         return bridge_regions(c.genus)[c.root % (12 // c.genus.n)]
     raise ValueError(f"unknown region kind: {kind!r}")
 
@@ -240,14 +247,16 @@ def smooth_cycle_ids(
     """The smooth cycles of a bridge region as integer ids: the region's
     chords in sort_key order, and each cycle as a tuple of indices into them.
     Same cycles, order and bounds as ``enumerate_smooth_cycles``, which
-    wraps this; ``nearsym cycles`` renders straight from the ids."""
+    wraps this; ``nearsym cycles`` renders straight from the ids.  A window
+    outside 4 <= min_len <= max_len <= size raises ``CycleLengthError``, and
+    a region of another kind a plain ``ValueError``."""
     if region.kind is not RegionKind.BRIDGE:
         raise ValueError("smooth cycles are defined only on bridge regions")
     size = len(region.members)
     if max_len is None:
         max_len = size
     if not 4 <= min_len <= max_len <= size:
-        raise ValueError(f"cycle lengths must satisfy 4 <= min <= max <= {size}")
+        raise CycleLengthError(f"cycle lengths must satisfy 4 <= min <= max <= {size}")
 
     # Vertex ids follow sort_key order, so comparing ids compares chords.
     chords = tuple(sorted(region.members, key=lambda c: c.sort_key))

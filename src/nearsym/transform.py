@@ -41,7 +41,7 @@ from enum import Enum
 from functools import cache
 
 from .chord import Chord, Genus, Modality, all_chords
-from .errors import GenusMismatchError, InvariantViolationError, TokenParseError
+from .errors import ForeignTokenError, GenusMismatchError, InvariantViolationError, TokenParseError
 
 SlidePart = int | str | None
 
@@ -172,7 +172,8 @@ def transformation(token: str, g: Genus) -> Transformation:
 
     Accepts the flat ASCII spelling (``S3(4)``), the superscript spelling
     (``S^{3(4)}``), and fully spelled abbreviations (``S6(5)`` for ``S6``).
-    A ``^``, ``{`` or ``}`` anywhere else raises ``TokenParseError``.
+    A ``^``, ``{`` or ``}`` anywhere else raises ``TokenParseError``, and a
+    token of another genus raises ``ForeignTokenError``.
     """
     normalized = _normalize_token(token)
     for t in catalog(g):
@@ -180,7 +181,7 @@ def transformation(token: str, g: Genus) -> Transformation:
             return t
     for n, rows in _ROWS.items():
         if n != g.n and any(row[0] == normalized for row in rows):
-            raise GenusMismatchError(
+            raise ForeignTokenError(
                 f"transformation {normalized!r} belongs to the n={n} genus, not n={g.n}"
             )
     raise TokenParseError(f"unknown transformation token: {token!r}")
@@ -190,7 +191,7 @@ def transformation(token: str, g: Genus) -> Transformation:
 def apply(t: Transformation, c: Chord) -> Chord:
     """Transform c by the named involution: move the root by the token's
     offset, up from a (+) chord and down from a (-) chord, and swap modality."""
-    if t.genus != c.genus:
+    if t.genus is not c.genus:
         raise GenusMismatchError(f"cannot apply {t.token} (n={t.genus.n}) to {c} (n={c.genus.n})")
     plus = c.modality is Modality.PLUS
     root = c.root + t.offset if plus else c.root - t.offset
@@ -199,7 +200,7 @@ def apply(t: Transformation, c: Chord) -> Chord:
 
 def transformation_between(x: Chord, y: Chord) -> Transformation | None:
     """The unique catalog transformation sending x to y, if any exists."""
-    if x.genus is not y.genus and x.genus != y.genus:
+    if x.genus is not y.genus:
         raise GenusMismatchError(f"cannot compare {x} (n={x.genus.n}) with {y} (n={y.genus.n})")
     hits = [t for t in catalog(x.genus) if apply(t, x) is y]  # one object per chord
     if len(hits) > 1:

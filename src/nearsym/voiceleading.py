@@ -63,7 +63,7 @@ def vl_relation(x: Chord, y: Chord) -> VoiceLeading | None:
     every bijection would move some voice more than a whole tone.  Read from
     the cyclic-shift scan for the two modalities and the root difference;
     verify's exhaustive check over all 1,728 pairs proves that enough here."""
-    if x.genus != y.genus:
+    if x.genus is not y.genus:
         raise GenusMismatchError(f"cannot relate {x} (n={x.genus.n}) to {y} (n={y.genus.n})")
     return _relation(x.genus, x.modality, y.modality, (y.root - x.root) % 12)
 

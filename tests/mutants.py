@@ -278,8 +278,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "cli-maps-not-a-member-to-exit-3",
         "src/nearsym/cli.py",
-        "except GenusMismatchError as exc:",
-        'except (GenusMismatchError, sys.modules["nearsym.errors"].NotAMemberError) as exc:',
+        "except ForeignTokenError as exc:",
+        'except (ForeignTokenError, sys.modules["nearsym.errors"].NotAMemberError) as exc:',
         ("tests/test_cli.py::test_a_library_fault_inside_a_command_raises_instead_of_exiting_3",),
     ),
     Mutant(
@@ -302,12 +302,53 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "token-of-another-genus-is-a-parse-error",
         "src/nearsym/transform.py",
-        'raise GenusMismatchError(\n                f"transformation {normalized!r}',
+        'raise ForeignTokenError(\n                f"transformation {normalized!r}',
         'raise TokenParseError(\n                f"transformation {normalized!r}',
         (
             "tests/test_transform.py::test_token_errors",
             "tests/test_cli.py::test_apply_wrong_genus_token_is_a_domain_error",
         ),
+    ),
+    Mutant(
+        "genus-intern-key-drops-a-template",
+        "src/nearsym/chord.py",
+        "key = (n, plus_name, minus_name, plus_template, minus_template)",
+        "key = (n, plus_name, minus_name, plus_template)",
+        ("tests/test_chord.py::test_copies_of_a_genus_are_the_genus",),
+    ),
+    Mutant(
+        "genus-reduce-drops-a-field",
+        "src/nearsym/chord.py",
+        "return Genus, (self.n, self.plus_name, self.minus_name, self.plus_template, self.minus_template)",
+        "return Genus, (self.n, self.plus_name, self.minus_name, self.plus_template)",
+        (
+            "tests/test_chord.py::test_copies_of_a_genus_are_the_genus",
+            "tests/test_chord.py::test_copies_of_a_chord_are_the_chord",
+        ),
+    ),
+    Mutant(
+        "region-kinds-bound-swapped",
+        "src/nearsym/region.py",
+        "_ARTHROPOD, _BRIDGE = RegionKind",
+        "_BRIDGE, _ARTHROPOD = RegionKind",
+        (
+            "tests/test_region.py::test_named_region_membership",
+            "tests/test_golden_library.py::test_library_matches_golden",
+        ),
+    ),
+    Mutant(
+        "cli-maps-every-genus-mismatch-to-exit-3",
+        "src/nearsym/cli.py",
+        "except ForeignTokenError as exc:",
+        'except sys.modules["nearsym.errors"].GenusMismatchError as exc:',
+        ("tests/test_cli.py::test_a_library_fault_inside_a_command_raises_instead_of_exiting_3",),
+    ),
+    Mutant(
+        "cycles-catches-every-value-error",
+        "src/nearsym/cli.py",
+        "except CycleLengthError as exc:",
+        "except ValueError as exc:",
+        ("tests/test_cli.py::test_a_region_of_the_wrong_kind_in_cycles_raises_instead_of_exiting_2",),
     ),
 )
 

@@ -282,7 +282,7 @@ def test_the_public_constructor_builds_a_new_equal_chord():
 def test_rebuilt_genus_equals_and_hashes_like_the_original():
     for g in GENERA.values():
         rebuilt = Genus(*(getattr(g, f.name) for f in dataclasses.fields(g)))
-        assert rebuilt is not g
+        assert rebuilt is g
         assert rebuilt == g
         assert hash(rebuilt) == hash(g)
 
@@ -321,7 +321,7 @@ def test_the_constructor_rejects_bad_input(g, root, m):
 
 @pytest.mark.parametrize("g", [3, 3.0, "3", None], ids=repr)
 def test_chord_lookups_reject_a_genus_that_is_no_genus(g):
-    # 3 and 3.0 hash like the triad genus: neither may build or read a
+    # 3 and 3.0 share the triad genus's n: neither may build or read a
     # table keyed by itself, as Chord(3, 0, PLUS) already refuses
     before = all_chords.cache_info().currsize
     for lookup in (all_chords, lambda g: parse_chord("C+", g)):
@@ -344,3 +344,26 @@ def test_copies_of_a_chord_are_the_chord():
             assert copy.deepcopy(c) is c
             assert dataclasses.replace(c) is c
             assert dataclasses.replace(c, root=c.root + 12) is c
+
+
+def test_copies_of_a_genus_are_the_genus():
+    # one object per field tuple: equality is identity, and the hash is object's
+    assert Genus.__eq__ is object.__eq__ and Genus.__hash__ is object.__hash__
+    for g in (G3, G4, G6):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(g, protocol)) is g
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+        assert dataclasses.replace(g) is g
+        assert dataclasses.replace(g, plus_name="x") is not g
+        assert dataclasses.replace(g, plus_name="x") != g
+        # a change to any one field, templates included, is another genus
+        for changed in (
+            {"n": g.n + 1},
+            {"minus_name": "x"},
+            {"plus_template": g.plus_template + (11,)},
+            {"minus_template": g.minus_template + (11,)},
+        ):
+            other = dataclasses.replace(g, **changed)
+            assert other is not g and other != g
+            assert dataclasses.replace(g, **changed) is other

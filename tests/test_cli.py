@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import nearsym.cli
 import nearsym.pcset
-from nearsym.chord import NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus
+from nearsym.chord import NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, TRIADS, genus, parse_chord
 from nearsym.cli import EXIT_BROKEN_PIPE, EXIT_IO, main
-from nearsym.errors import NotAMemberError, UnsupportedCardinalityError
+from nearsym.errors import GenusMismatchError, NotAMemberError, UnsupportedCardinalityError
 from nearsym.pcset import set_class
-from nearsym.region import bridge_regions, enumerate_smooth_cycles
+from nearsym.region import arthropod_regions, bridge_regions, enumerate_smooth_cycles
 
 
 def run(capsys, *argv):
@@ -119,8 +119,13 @@ def test_apply_wrong_genus_token_is_a_domain_error(capsys):
             ["partitions", "--n", "6"],
             "nearsym.symmetry.SUPPORTED_CARDINALITIES", (3, 4), UnsupportedCardinalityError,
         ),
+        (
+            # Z is an n=6 token, so only the chord is of another genus
+            ["apply", "--genus", "6", "--chord", "C+", "--seq", "Z"],
+            "nearsym.cli.parse_chord", lambda text, g: parse_chord(text, TRIADS), GenusMismatchError,
+        ),
     ],
-    ids=["not-a-member", "unsupported-cardinality"],
+    ids=["not-a-member", "unsupported-cardinality", "chord-of-another-genus"],
 )
 def test_a_library_fault_inside_a_command_raises_instead_of_exiting_3(
     monkeypatch, fresh_caches, argv, target, value, error
@@ -130,6 +135,14 @@ def test_a_library_fault_inside_a_command_raises_instead_of_exiting_3(
     monkeypatch.setattr(target, value)
     with pytest.raises(error):
         main(argv)
+
+
+def test_a_region_of_the_wrong_kind_in_cycles_raises_instead_of_exiting_2(monkeypatch, fresh_caches):
+    # exit 2 is a length window out of range; a region_of that hands cycles
+    # an arthropod region is a fault in the library
+    monkeypatch.setattr("nearsym.cli.region_of", lambda c, kind: arthropod_regions(c.genus)[0])
+    with pytest.raises(ValueError, match="defined only on bridge regions"):
+        main(["cycles", "--genus", "3", "--containing", "C+"])
 
 
 def test_relate_examples(capsys):
