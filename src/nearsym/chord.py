@@ -13,6 +13,13 @@ the displaced note lies one fixed offset per genus and modality above the root.
 Its oracle is ``verify``'s ``perturbation-roundtrip``, both ways against
 ``perturb``, which names each chord through the pitch-class table.
 
+Every ``Genus``, ``Chord`` and ``Transformation`` has one object per value.
+One registry, ``_REGISTRY``, keyed by class and field values, holds them
+all, and each constructor returns the registered object, so equality is
+identity.  A miss inserts through ``dict.setdefault``, so threads that first
+meet a value together get one object.  ``all_chords`` is a cached table of
+registered chords, so clearing or rebuilding it changes no identity.
+
 Chord text names the same table index in every genus, so ``parse_chord``
 memoises text to index in a bounded ``lru_cache`` and reads the genus's
 table at that index: a repeated text costs one str hash.  The memo holds
@@ -23,10 +30,10 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, lru_cache
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import (
     ChordParseError,
@@ -57,9 +64,28 @@ class Direction(Enum):
     UP = "up"
 
 
-# Every Genus there is, by its field tuple: the three below, and any copy
-# with a field changed.
-_GENUS_OBJECTS: dict[tuple, Genus] = {}
+# Every Genus, Chord and Transformation there is, keyed by its class and field
+# values.  An entry is never replaced.
+_REGISTRY: dict[tuple, object] = {}
+
+
+def _registered(cls: type, values: dict, **derived: object) -> Any:
+    """The one object of cls with these field values.  On a miss a new one,
+    holding the fields and the values derived from them, is offered with
+    ``dict.setdefault``, so threads that miss together get the same object."""
+    key = (cls, *values.values())
+    obj = _REGISTRY.get(key)
+    if obj is None:
+        obj = object.__new__(cls)
+        vars(obj).update(values, **derived)
+        obj = _REGISTRY.setdefault(key, obj)
+    return obj
+
+
+def _rebuilt(obj: object) -> tuple:
+    """A ``__reduce__``: pickle and ``copy`` rebuild obj from its field
+    values, which gives back the registered object."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -67,12 +93,12 @@ class Genus:
     """One species column: cardinality plus both templates (intervals above
     the root).
 
-    There is one object per field tuple: ``Genus(*fields)``, pickle, ``copy``
-    and ``dataclasses.replace`` give back ``TRIADS``, ``TETRADS`` or
-    ``HEXACHORDS``, so equality is identity and the hash is ``object``'s.
-    The caches keyed by a genus (``all_chords``, ``catalog``, the region
-    lists) hash it without a Python call.  A copy with any field changed is
-    another object."""
+    ``Genus(*fields)`` returns the object registered for its field values,
+    so pickle, ``copy`` and ``dataclasses.replace`` give back ``TRIADS``,
+    ``TETRADS`` or ``HEXACHORDS``: equality is identity and the hash is
+    ``object``'s.  The caches keyed by a genus (``all_chords``, ``catalog``,
+    the region lists) hash it without a Python call.  A copy with any field
+    changed is another object."""
 
     n: int
     plus_name: str
@@ -88,17 +114,12 @@ class Genus:
         plus_template: tuple[int, ...],
         minus_template: tuple[int, ...],
     ) -> Genus:
-        key = (n, plus_name, minus_name, plus_template, minus_template)
-        if key not in _GENUS_OBJECTS:
-            g = _GENUS_OBJECTS[key] = object.__new__(cls)
-            vars(g).update(
-                n=n, plus_name=plus_name, minus_name=minus_name,
-                plus_template=plus_template, minus_template=minus_template,
-            )
-        return _GENUS_OBJECTS[key]
+        return _registered(cls, dict(
+            n=n, plus_name=plus_name, minus_name=minus_name,
+            plus_template=plus_template, minus_template=minus_template,
+        ))
 
-    def __reduce__(self) -> tuple:
-        return Genus, (self.n, self.plus_name, self.minus_name, self.plus_template, self.minus_template)
+    __reduce__ = _rebuilt
 
     def template(self, modality: Modality) -> tuple[int, ...]:
         return self.plus_template if modality is Modality.PLUS else self.minus_template
@@ -132,11 +153,11 @@ def genus(n: int) -> Genus:
 class Chord:
     """A concrete chord, identified by (genus, root, modality).
 
-    There is one object per chord: ``Chord(g, root, m)`` returns the entry
-    of the table ``all_chords(g)``, so equality is identity and the hash is
-    ``object``'s, and dict and cache lookups call no Python method.  Each
-    entry also holds its pitch-class set, which ``all_chords`` derives from
-    the genus template when it builds the table.
+    ``Chord(g, root, m)`` reduces the root mod 12 and returns the object
+    registered for (g, root, m), so there is one object per chord: equality
+    is identity and the hash is ``object``'s, and dict and cache lookups call
+    no Python method.  Each chord also holds its pitch-class set, derived
+    from the genus template when it is first registered.
     """
 
     genus: Genus
@@ -146,13 +167,14 @@ class Chord:
     def __new__(cls, genus: Genus, root: int, modality: Modality) -> Chord:
         if not isinstance(genus, Genus) or not isinstance(modality, Modality):
             raise TypeError(f"Chord needs a Genus and a Modality, not {genus!r} and {modality!r}")
-        return all_chords(genus)[2 * (operator.index(root) % 12) + (modality is Modality.MINUS)]
+        root = operator.index(root) % 12
+        pcs = frozenset((root + i) % 12 for i in genus.template(modality))
+        return _registered(cls, dict(genus=genus, root=root, modality=modality), _pitch_classes=pcs)
 
-    def __reduce__(self) -> tuple:
-        return Chord, (self.genus, self.root, self.modality)
+    __reduce__ = _rebuilt
 
     def pitch_classes(self) -> PcSet:
-        """The chord's pitch classes, stored in its table entry."""
+        """The chord's pitch classes, stored when it was registered."""
         return self._pitch_classes
 
     @property
@@ -215,21 +237,11 @@ def _chord_index(text: str) -> int:
 @cache
 def all_chords(g: Genus) -> tuple[Chord, ...]:
     """The table of a genus's 24 chords, roots ascending, (+) before (-), so
-    chord (root, m) sits at index ``2*root + (m is MINUS)``.  Built once,
-    and the only chords there are: ``Chord``, ``parse_chord``,
-    ``find_chord`` and ``apply`` return its entries.  A genus that is no
-    ``Genus`` raises ``TypeError``; the check runs only on a cache miss."""
-    if not isinstance(g, Genus):
-        raise TypeError(f"all_chords needs a Genus, not {g!r}")
-    return tuple(_new_chord(g, root, modality) for root in range(12) for modality in Modality)
-
-
-def _new_chord(g: Genus, root: int, modality: Modality) -> Chord:
-    """A table entry; only ``all_chords`` builds one."""
-    c = object.__new__(Chord)
-    pcs = frozenset((root + i) % 12 for i in g.template(modality))
-    vars(c).update(genus=g, root=root, modality=modality, _pitch_classes=pcs)
-    return c
+    chord (root, m) sits at index ``2*root + (m is MINUS)``: ``parse_chord``,
+    ``apply`` and ``region.bridge_members`` read it by index.  Its entries
+    are the registered chords, so a table built again holds the same
+    objects.  A genus that is no ``Genus`` raises ``Chord``'s ``TypeError``."""
+    return tuple(Chord(g, root, modality) for root in range(12) for modality in Modality)
 
 
 @cache

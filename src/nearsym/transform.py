@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .chord import Chord, Genus, Modality, all_chords
+from .chord import Chord, Genus, Modality, _rebuilt, _registered, all_chords
 from .errors import ForeignTokenError, GenusMismatchError, InvariantViolationError, TokenParseError
 
 SlidePart = int | str | None
@@ -59,17 +59,13 @@ class Kind(Enum):
     POLAR = "polar"
 
 
-# Every Transformation there is, by its field tuple: catalog rows, and any
-# copy or tampered row built after them.
-_TRANSFORMATIONS: dict[tuple, Transformation] = {}
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class Transformation:
-    """One catalog row.  There is one object per field tuple, so equality is
-    identity and the hash is ``object``'s: ``apply``'s cache hashes its key
-    without a Python call.  A copy with any field changed, such as a
-    tampered offset, is another object."""
+    """One catalog row.  ``Transformation(*fields)`` returns the object
+    registered for its field values, so equality is identity and the hash is
+    ``object``'s: ``apply``'s cache hashes its key without a Python call.  A
+    copy with any field changed, such as a tampered offset, is another
+    object."""
 
     genus: Genus
     token: str
@@ -87,16 +83,11 @@ class Transformation:
         moved: SlidePart = None,
         offset: int = 0,
     ) -> Transformation:
-        key = (genus, token, kind, invariant, moved, offset)
-        if key not in _TRANSFORMATIONS:
-            t = _TRANSFORMATIONS[key] = object.__new__(cls)
-            vars(t).update(
-                genus=genus, token=token, kind=kind, invariant=invariant, moved=moved, offset=offset
-            )
-        return _TRANSFORMATIONS[key]
+        return _registered(cls, dict(
+            genus=genus, token=token, kind=kind, invariant=invariant, moved=moved, offset=offset
+        ))
 
-    def __reduce__(self) -> tuple:
-        return Transformation, (self.genus, self.token, self.kind, self.invariant, self.moved, self.offset)
+    __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         return self.token

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from nearsym.chord import all_chords, genus
+from nearsym.chord import genus
 from nearsym.region import bridge_regions
 from oracles import cycle_oracle
 
@@ -21,16 +21,16 @@ def bridge_cycle_oracle():
 
 
 def clear_caches():
-    """Empty every functools cache in the loaded nearsym modules but
-    all_chords, whose entries are the chords themselves.  A test that tampers
-    with a table (a catalog offset, a displaced note) calls it after the
-    tamper and after undoing it, so no cached answer outlives either; a cache
-    added to the library later is cleared without being named here."""
+    """Empty every functools cache in the loaded nearsym modules.  A test
+    that tampers with a table (a catalog offset, a displaced note) calls it
+    after the tamper and after undoing it, so no cached answer outlives
+    either; a cache added to the library later is cleared without being
+    named here."""
     for name, module in sorted(sys.modules.items()):
         if name.partition(".")[0] != "nearsym":
             continue
         for value in vars(module).values():
-            if hasattr(value, "cache_clear") and value is not all_chords:
+            if hasattr(value, "cache_clear"):
                 value.cache_clear()
 
 

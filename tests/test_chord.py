@@ -1,6 +1,10 @@
 import copy
 import dataclasses
+import itertools
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -165,6 +169,9 @@ def test_perturb_examples():
     assert perturb({8, 0, 4}, 0, "down") == parse_chord("E+", G3)
     assert perturb({1, 4, 7, 10}, 1, "up") == parse_chord("E-", G4)
     assert perturb({0, 2, 4, 6, 8, 10}, 2, "down") == parse_chord("C+", G6)
+    # a note outside 0..11 names its pitch class
+    assert perturb({0, 4, 8}, 16, "down") == parse_chord("G#+", G3)
+    assert perturb({0, 4, 8}, -4, "up") == parse_chord("A-", G3)
 
 
 def test_perturb_rejects_bad_input():
@@ -367,3 +374,41 @@ def test_copies_of_a_genus_are_the_genus():
             other = dataclasses.replace(g, **changed)
             assert other is not g and other != g
             assert dataclasses.replace(g, **changed) is other
+
+
+_TRIALS = itertools.count()
+
+
+def _first_use(copies, start):
+    start.wait()
+    seen = []
+    for fields in copies:
+        g = Genus(*fields)
+        seen += [g, parse_chord("C+", g), *all_chords(g), *catalog(g)]
+    return seen
+
+
+def test_threads_that_first_use_a_genus_together_get_one_object_per_value():
+    # Each trial makes a copy of each genus that no earlier trial made, with
+    # a changed name, so its registry entries, chord table and catalog are
+    # first built by threads that meet at a barrier; a tiny switch interval
+    # interleaves them.
+    threads = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            for _ in range(100):
+                trial = next(_TRIALS)
+                copies = [
+                    (g.n, f"{g.plus_name}, trial {trial}", g.minus_name, g.plus_template, g.minus_template)
+                    for g in (G3, G4, G6)
+                ]
+                start = threading.Barrier(threads, timeout=10)
+                futures = [pool.submit(_first_use, copies, start) for _ in range(threads)]
+                seen = [future.result(timeout=10) for future in futures]
+                for objects in zip(*seen):
+                    distinct = {id(x) for x in objects}
+                    assert len(distinct) == 1, f"{len(distinct)} objects for {objects[0]!r} in trial {trial}"
+    finally:
+        sys.setswitchinterval(interval)

@@ -60,6 +60,32 @@ def test_forte_table_entries_are_their_own_prime_forms():
         assert prime_form(prime) == prime
 
 
+# The interval-class vector of each labelled class, as published in Forte,
+# The Structure of Atonal Music (1973).
+PUBLISHED_ICVS = {
+    "3-11": (0, 0, 1, 1, 1, 0),
+    "3-12": (0, 0, 0, 3, 0, 0),
+    "4-21": (0, 3, 0, 2, 0, 1),
+    "4-24": (0, 2, 0, 3, 0, 1),
+    "4-25": (0, 2, 0, 2, 0, 2),
+    "4-27": (0, 1, 2, 1, 1, 1),
+    "4-28": (0, 0, 4, 0, 0, 2),
+    "6-20": (3, 0, 3, 6, 3, 0),
+    "6-34": (1, 4, 2, 4, 2, 2),
+    "6-35": (0, 6, 0, 6, 0, 3),
+    "8-28": (4, 4, 8, 4, 4, 4),
+    "12-1": (12, 12, 12, 12, 12, 6),
+}
+
+
+def test_each_forte_label_names_the_class_with_its_published_vector():
+    # no two of these classes share a vector, so a label moved to another
+    # prime form, or a mistyped prime form, no longer matches
+    assert sorted(FORTE_NAMES.values()) == sorted(PUBLISHED_ICVS)
+    for prime, name in FORTE_NAMES.items():
+        assert icv_oracle(prime) == PUBLISHED_ICVS[name], name
+
+
 @given(pc_sets, st.integers(-30, 30), st.integers(-30, 30))
 def test_transpose_composes(s, a, b):
     assert transpose(transpose(s, a), b) == transpose(s, a + b)

@@ -64,6 +64,9 @@ def test_token_parsing_accepts_superscript_and_full_spellings():
     assert transformation("S^{3(4)}", G4).token == "S3(4)"
     assert transformation("S^{A(3)}", G6).token == "SA(3)"
     assert transformation("s^{a(3)}", G6).token == "SA(3)"
+    # a one-character part
+    assert transformation("S^{6}", G4).token == "S6"
+    assert transformation("S^{1}", G6).token == "S1"
     assert transformation("S6(5)", G4).token == "S6"
     assert transformation("S1(W)", G6).token == "S1"
     assert transformation("r**", G6).token == "R**"
