@@ -314,6 +314,23 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "genus-intern-key-drops-a-template",
+        "src/nearsym/chord.py",
+        "plus_template=plus_template, minus_template=minus_template,\n        ))",
+        "plus_template=plus_template,\n        ), minus_template=minus_template)",
+        ("tests/test_chord.py::test_copies_of_a_genus_are_the_genus",),
+    ),
+    Mutant(
+        "transformation-intern-key-drops-offset",
+        "src/nearsym/transform.py",
+        "moved=moved, offset=offset\n        ))",
+        "moved=moved\n        ), offset=offset)",
+        (
+            "tests/test_transform.py::test_rebuilt_transformations_equal_and_hash_like_the_catalog",
+            "tests/test_transform.py::test_copies_of_a_transformation_are_the_transformation",
+        ),
+    ),
+    Mutant(
         "rebuild-drops-the-last-field",
         "src/nearsym/chord.py",
         "tuple(getattr(obj, f.name) for f in fields(obj))",
