@@ -13,12 +13,16 @@ the displaced note lies one fixed offset per genus and modality above the root.
 Its oracle is ``verify``'s ``perturbation-roundtrip``, both ways against
 ``perturb``, which names each chord through the pitch-class table.
 
-Every ``Genus``, ``Chord`` and ``Transformation`` has one object per value.
-One registry, ``_REGISTRY``, keyed by class and field values, holds them
-all, and each constructor returns the registered object, so equality is
-identity.  A miss inserts through ``dict.setdefault``, so threads that first
-meet a value together get one object.  ``all_chords`` is a cached table of
-registered chords, so clearing or rebuilding it changes no identity.
+Every ``Genus``, ``Chord`` and ``Transformation`` has one live object per
+value.  Their metaclass, ``_Registered``, builds each instance through the
+dataclass's own ``__init__`` and returns the object that ``_REGISTRY`` holds
+for its class and field values, read with ``dataclasses.fields``, so no class
+restates its fields and equality is identity.  The registry holds its objects
+weakly: one that nobody else holds is freed, and the next call for its value
+builds it afresh.  A miss inserts through ``setdefault`` under one lock, so
+threads that first meet a value together get one object.  ``all_chords`` is
+a cached table of registered chords, so clearing or rebuilding it changes the
+identity of no chord that is held.
 
 Chord text names the same table index in every genus, so ``parse_chord``
 memoises text to index in a bounded ``lru_cache`` and reads the genus's
@@ -28,7 +32,10 @@ ints, never chords, and a text that raises is parsed afresh each time.
 
 from __future__ import annotations
 
+import inspect
 import operator
+import threading
+import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -64,22 +71,33 @@ class Direction(Enum):
     UP = "up"
 
 
-# Every Genus, Chord and Transformation there is, keyed by its class and field
-# values.  An entry is never replaced.
-_REGISTRY: dict[tuple, object] = {}
+# Every live Genus, Chord and Transformation, keyed by its class and field
+# values.  An entry goes when its object does.  WeakValueDictionary.setdefault
+# is no one atomic step, so every insert holds _LOCK.
+_REGISTRY: weakref.WeakValueDictionary[tuple, object] = weakref.WeakValueDictionary()
+_LOCK = threading.Lock()
 
 
-def _registered(cls: type, values: dict, **derived: object) -> Any:
-    """The one object of cls with these field values.  On a miss a new one,
-    holding the fields and the values derived from them, is offered with
-    ``dict.setdefault``, so threads that miss together get the same object."""
-    key = (cls, *values.values())
-    obj = _REGISTRY.get(key)
-    if obj is None:
-        obj = object.__new__(cls)
-        vars(obj).update(values, **derived)
-        obj = _REGISTRY.setdefault(key, obj)
-    return obj
+class _Registered(type):
+    """The metaclass of the registered dataclasses.  A call builds the
+    instance through the dataclass's own ``__init__`` and returns the live
+    object registered for its class and field values: the new one on a
+    miss."""
+
+    def __call__(cls, *args: Any, **kwargs: Any) -> Any:
+        obj = super().__call__(*args, **kwargs)
+        key = (cls, *(getattr(obj, f.name) for f in fields(cls)))
+        with _LOCK:
+            return _REGISTRY.setdefault(key, obj)
+
+    @property
+    def __signature__(cls) -> inspect.Signature:
+        """The dataclass's own signature, which ``__call__`` would hide from
+        ``inspect`` and ``help``: its ``__init__``'s without self, returning
+        an instance of cls."""
+        sig = inspect.signature(cls.__init__)
+        params = list(sig.parameters.values())[1:]
+        return sig.replace(parameters=params, return_annotation=cls.__name__)
 
 
 def _rebuilt(obj: object) -> tuple:
@@ -88,36 +106,23 @@ def _rebuilt(obj: object) -> tuple:
     return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Genus:
+@dataclass(frozen=True, eq=False)
+class Genus(metaclass=_Registered):
     """One species column: cardinality plus both templates (intervals above
     the root).
 
-    ``Genus(*fields)`` returns the object registered for its field values,
-    so pickle, ``copy`` and ``dataclasses.replace`` give back ``TRIADS``,
-    ``TETRADS`` or ``HEXACHORDS``: equality is identity and the hash is
-    ``object``'s.  The caches keyed by a genus (``all_chords``, ``catalog``,
-    the region lists) hash it without a Python call.  A copy with any field
-    changed is another object."""
+    ``Genus(*fields)`` returns the live object registered for its field
+    values, so pickle, ``copy`` and ``dataclasses.replace`` give back
+    ``TRIADS``, ``TETRADS`` or ``HEXACHORDS``: equality is identity and the
+    hash is ``object``'s.  The caches keyed by a genus (``all_chords``,
+    ``catalog``, the region lists) hash it without a Python call.  A copy
+    with any field changed is another object."""
 
     n: int
     plus_name: str
     minus_name: str
     plus_template: tuple[int, ...]
     minus_template: tuple[int, ...]
-
-    def __new__(
-        cls,
-        n: int,
-        plus_name: str,
-        minus_name: str,
-        plus_template: tuple[int, ...],
-        minus_template: tuple[int, ...],
-    ) -> Genus:
-        return _registered(cls, dict(
-            n=n, plus_name=plus_name, minus_name=minus_name,
-            plus_template=plus_template, minus_template=minus_template,
-        ))
 
     __reduce__ = _rebuilt
 
@@ -149,32 +154,35 @@ def genus(n: int) -> Genus:
         ) from None
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Chord:
+@dataclass(frozen=True, eq=False)
+class Chord(metaclass=_Registered):
     """A concrete chord, identified by (genus, root, modality).
 
-    ``Chord(g, root, m)`` reduces the root mod 12 and returns the object
-    registered for (g, root, m), so there is one object per chord: equality
-    is identity and the hash is ``object``'s, and dict and cache lookups call
-    no Python method.  Each chord also holds its pitch-class set, derived
-    from the genus template when it is first registered.
+    ``Chord(g, root, m)`` reduces the root mod 12 and returns the live object
+    registered for (g, root, m), so there is one object per chord that is
+    held: equality is identity and the hash is ``object``'s, and dict and
+    cache lookups call no Python method.  Each chord also holds its
+    pitch-class set, derived from the genus template when it is built.
     """
 
     genus: Genus
     root: int
     modality: Modality
 
-    def __new__(cls, genus: Genus, root: int, modality: Modality) -> Chord:
+    def __post_init__(self) -> None:
+        genus, modality = self.genus, self.modality
         if not isinstance(genus, Genus) or not isinstance(modality, Modality):
             raise TypeError(f"Chord needs a Genus and a Modality, not {genus!r} and {modality!r}")
-        root = operator.index(root) % 12
+        root = operator.index(self.root) % 12
+        # frozen, so set as the dataclass's own __init__ sets its fields
+        object.__setattr__(self, "root", root)
         pcs = frozenset((root + i) % 12 for i in genus.template(modality))
-        return _registered(cls, dict(genus=genus, root=root, modality=modality), _pitch_classes=pcs)
+        object.__setattr__(self, "_pitch_classes", pcs)
 
     __reduce__ = _rebuilt
 
     def pitch_classes(self) -> PcSet:
-        """The chord's pitch classes, stored when it was registered."""
+        """The chord's pitch classes, stored when it was built."""
         return self._pitch_classes
 
     @property

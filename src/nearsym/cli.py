@@ -131,7 +131,7 @@ def cmd_relate(args) -> int:
 
 def _selected_regions(args, g):
     kind = RegionKind(args.kind)
-    if args.containing:
+    if args.containing is not None:
         return [region_of(parse_chord(args.containing, g), kind)]
     return list(arthropod_regions(g) if kind is RegionKind.ARTHROPOD else bridge_regions(g))
 

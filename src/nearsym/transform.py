@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .chord import Chord, Genus, Modality, _rebuilt, _registered, all_chords
+from .chord import Chord, Genus, Modality, _rebuilt, _Registered, all_chords
 from .errors import ForeignTokenError, GenusMismatchError, InvariantViolationError, TokenParseError
 
 SlidePart = int | str | None
@@ -59,9 +59,9 @@ class Kind(Enum):
     POLAR = "polar"
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Transformation:
-    """One catalog row.  ``Transformation(*fields)`` returns the object
+@dataclass(frozen=True, eq=False)
+class Transformation(metaclass=_Registered):
+    """One catalog row.  ``Transformation(*fields)`` returns the live object
     registered for its field values, so equality is identity and the hash is
     ``object``'s: ``apply``'s cache hashes its key without a Python call.  A
     copy with any field changed, such as a tampered offset, is another
@@ -73,19 +73,6 @@ class Transformation:
     invariant: SlidePart = None
     moved: SlidePart = None
     offset: int = 0  # image root minus source root, for a (+) source
-
-    def __new__(
-        cls,
-        genus: Genus,
-        token: str,
-        kind: Kind,
-        invariant: SlidePart = None,
-        moved: SlidePart = None,
-        offset: int = 0,
-    ) -> Transformation:
-        return _registered(cls, dict(
-            genus=genus, token=token, kind=kind, invariant=invariant, moved=moved, offset=offset
-        ))
 
     __reduce__ = _rebuilt
 

@@ -71,10 +71,11 @@ def vl_relation(x: Chord, y: Chord) -> VoiceLeading | None:
 @cache
 def _relation(g: Genus, xm: Modality, ym: Modality, diff: int) -> VoiceLeading | None:
     """vl_relation from the xm chord on root 0 to the ym chord on root diff:
-    the cyclic shifts of the second's sorted pitch classes against the
-    first's.  At most 144 keys, each scanned on first use."""
-    src = sorted(Chord(g, 0, xm).pitch_classes())
-    dst = sorted(Chord(g, diff, ym).pitch_classes())
+    the cyclic shifts of the second's sorted pitch classes, its template
+    shifted by diff, against the first's, its template.  At most 144 keys,
+    each scanned on first use."""
+    src = sorted(g.template(xm))
+    dst = sorted((diff + i) % 12 for i in g.template(ym))
     best = None
     for k in range(len(dst)):
         steps = list(map(_step, src, dst[k:] + dst[:k]))
@@ -90,10 +91,8 @@ def _relation(g: Genus, xm: Modality, ym: Modality, diff: int) -> VoiceLeading |
 @cache
 def ssd_neighbors(x: Chord) -> tuple[Chord, ...]:
     """Same-genus chords reachable by moving exactly one voice one semitone:
-    x's images under the P1,0 tokens.  Bridge slides are P(n-2),0, so these
-    are the triad bridge slides P and L, and n=4 and n=6 have none.  Cached:
-    there are 72 chords to ask about."""
-    if x.genus.n != 3:
-        return ()
-    images = (apply(t, x) for t in catalog(x.genus) if t.kind is Kind.BRIDGE_SLIDE)
+    x's images under the tokens whose ``catalog_relation`` is P1,0.  Bridge
+    slides are P(n-2),0, so these are the triad bridge slides P and L, and
+    n=4 and n=6 have none.  Cached: there are 72 chords to ask about."""
+    images = (apply(t, x) for t in catalog(x.genus) if catalog_relation(t) == VoiceLeading(1, 0))
     return tuple(sorted(images, key=lambda c: c.sort_key))

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import gc
+import inspect
 import itertools
 import pickle
 import sys
@@ -10,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nearsym.chord
+from conftest import clear_caches
 from nearsym.chord import (
     GENERA,
     Chord,
@@ -34,7 +38,7 @@ from nearsym.errors import (
 )
 from nearsym.pcset import invert
 from nearsym.symmetry import symmetric_partition
-from nearsym.transform import apply, catalog
+from nearsym.transform import Transformation, apply, catalog
 
 G3, G4, G6 = genus(3), genus(4), genus(6)
 
@@ -412,3 +416,42 @@ def test_threads_that_first_use_a_genus_together_get_one_object_per_value():
                     assert len(distinct) == 1, f"{len(distinct)} objects for {objects[0]!r} in trial {trial}"
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_the_registry_frees_what_nobody_holds():
+    # every object registered now stays held; a genus copy, its chord table
+    # and its catalog are held only by the caches, so clearing them frees all
+    # 31 and the registry is back at its size from before
+    held = list(nearsym.chord._REGISTRY.values())
+    g = dataclasses.replace(G3, plus_name="a copy")
+    for t in catalog(g):
+        for c in all_chords(g):
+            apply(t, c)
+    del g, t, c
+    assert len(nearsym.chord._REGISTRY) == len(held) + 1 + 24 + 6
+    clear_caches()
+    gc.collect()
+    assert len(nearsym.chord._REGISTRY) == len(held)
+
+
+@pytest.mark.parametrize(
+    ("cls", "signature"),
+    [
+        (
+            Genus,
+            "(n: 'int', plus_name: 'str', minus_name: 'str', plus_template: 'tuple[int, ...]', "
+            "minus_template: 'tuple[int, ...]') -> 'Genus'",
+        ),
+        (Chord, "(genus: 'Genus', root: 'int', modality: 'Modality') -> 'Chord'"),
+        (
+            Transformation,
+            "(genus: 'Genus', token: 'str', kind: 'Kind', invariant: 'SlidePart' = None, "
+            "moved: 'SlidePart' = None, offset: 'int' = 0) -> 'Transformation'",
+        ),
+    ],
+    ids=["Genus", "Chord", "Transformation"],
+)
+def test_each_registered_class_shows_its_dataclass_signature(cls, signature):
+    # inspect and help show the fields, defaults and class, not the
+    # (*args, **kwargs) of the registering call
+    assert str(inspect.signature(cls)) == signature

@@ -286,6 +286,13 @@ def test_export_rejects_text_format(capsys):
     assert "invalid choice: 'text'" in captured.err
 
 
+@pytest.mark.parametrize("command", ["region", "export"])
+def test_an_empty_containing_chord_is_a_parse_error(capsys, command):
+    # an empty text names no chord: it must not read as the option left out
+    code, out, err = run(capsys, command, "--genus", "3", "--kind", "bridge", "--containing", "")
+    assert (code, out, err) == (2, "", "error: chord text must end in '+' or '-': ''\n")
+
+
 def test_export_json_round_trips(capsys):
     code, out, _ = run(
         capsys, "export", "--genus", "6", "--kind", "bridge", "--containing", "C+",
