@@ -210,7 +210,13 @@ class Perturbation(NamedTuple):
 
 def parse_note(text: str) -> int:
     """Parse a note name (letter plus optional accidentals) to a pitch class."""
-    s = text.strip().replace("♯", "#").replace("♭", "b")
+    return _pitch_class(text, text)
+
+
+def _pitch_class(note: str, text: str) -> int:
+    """The pitch class of note text.  An error quotes ``text``, all that the
+    caller gave: for a chord, the whole chord text, not just its note part."""
+    s = note.strip().replace("♯", "#").replace("♭", "b")
     if not s or s[0].upper() not in _NATURALS:
         raise ChordParseError(f"unknown note name: {text!r}")
     value = _NATURALS[s[0].upper()]
@@ -239,7 +245,7 @@ def _chord_index(text: str) -> int:
     s = text.strip()
     if len(s) < 2 or s[-1] not in ("+", "-"):
         raise ChordParseError(f"chord text must end in '+' or '-': {text!r}")
-    return 2 * parse_note(s[:-1]) + (s[-1] == "-")
+    return 2 * _pitch_class(s[:-1], text) + (s[-1] == "-")
 
 
 @cache

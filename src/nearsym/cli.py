@@ -6,12 +6,15 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 74 standard output cannot be written (a full disk, ``> /dev/full``; sysexits
 EX_IOERR), 141 standard output closed early by its reader
 (``nearsym cycles ... | head``; 128 + SIGPIPE, the status a shell gives a
-writer killed by a closed pipe).
+writer killed by a closed pipe).  ``_run`` is the one place that maps an
+error to its exit code and its ``error:`` line; any library error that no
+argv can cause raises out of ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -46,11 +49,6 @@ EXIT_BROKEN_PIPE = 141
 
 def _note_names(args) -> tuple[str, ...]:
     return NOTE_NAMES_FLAT if args.flats else NOTE_NAMES_SHARP
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def _emit_json(payload) -> None:
@@ -170,10 +168,7 @@ def cmd_cycles(args) -> int:
     g = genus(args.genus)
     chord = parse_chord(args.containing, g)
     region = region_of(chord, RegionKind.BRIDGE)
-    try:
-        chords, cycles = smooth_cycle_ids(region, args.min_len, args.max_len)
-    except CycleLengthError as exc:
-        return _usage_error(str(exc))
+    chords, cycles = smooth_cycle_ids(region, args.min_len, args.max_len)
     max_len = args.max_len if args.max_len is not None else len(chords)
     write = sys.stdout.write
     # Streamed a cycle at a time.  Every smooth cycle covers its region's
@@ -290,6 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
+    """Run the command, and map each error an input can cause to its exit
+    code: a failed write to 74 or 141, and the four errors an argv can cause,
+    each raised before any output, to 2, or to 3 for a token of another
+    genus.  Any other error is a fault in the library, and raises."""
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
@@ -298,16 +297,16 @@ def _run(args) -> int:
         # The reader is gone or the output cannot be written.  Point stdout
         # at devnull so that the flush at interpreter exit has somewhere to
         # put what is still buffered.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return EXIT_BROKEN_PIPE
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO
-    except (ChordParseError, TokenParseError) as exc:
-        return _usage_error(str(exc))
-    except ForeignTokenError as exc:  # the one genus mismatch an argv can cause
+    except (ChordParseError, TokenParseError, CycleLengthError, ForeignTokenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_DOMAIN if isinstance(exc, ForeignTokenError) else EXIT_USAGE
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -316,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     if sys.stdout is not None:
         return _run(args)
     # Started with stdout closed: discard the output, as print() would.
-    with open(os.devnull, "w") as sys.stdout:
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
         return _run(args)
 
 

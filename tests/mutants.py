@@ -43,6 +43,14 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+# _run's clause for the errors an argv can cause, through its choice of exit
+# code: a mutant that maps another error to exit 3 edits both.
+_ARGV_ERROR_CLAUSE = (
+    "ForeignTokenError) as exc:\n"
+    '        print(f"error: {exc}", file=sys.stderr)\n'
+    "        return EXIT_DOMAIN if isinstance(exc, ForeignTokenError)"
+)
+
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "window-bound-size-plus-1",
@@ -156,8 +164,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "chord-index-swaps-modality",
         "src/nearsym/chord.py",
-        'return 2 * parse_note(s[:-1]) + (s[-1] == "-")',
-        'return 2 * parse_note(s[:-1]) + (s[-1] == "+")',
+        'return 2 * _pitch_class(s[:-1], text) + (s[-1] == "-")',
+        'return 2 * _pitch_class(s[:-1], text) + (s[-1] == "+")',
         (
             "tests/test_chord.py::test_every_accepted_spelling_parses_to_the_table_entry",
             "tests/test_chord.py::test_parse_chord_agrees_with_parse_note_and_the_modality_rule",
@@ -271,8 +279,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "cli-maps-not-a-member-to-exit-3",
         "src/nearsym/cli.py",
-        "except ForeignTokenError as exc:",
-        'except (ForeignTokenError, sys.modules["nearsym.errors"].NotAMemberError) as exc:',
+        _ARGV_ERROR_CLAUSE,
+        _ARGV_ERROR_CLAUSE.replace(
+            "ForeignTokenError)", '(ForeignTokenError, sys.modules["nearsym.errors"].NotAMemberError))'
+        ),
         ("tests/test_cli.py::test_a_library_fault_inside_a_command_raises_instead_of_exiting_3",),
     ),
     Mutant(
@@ -365,15 +375,15 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "cli-maps-every-genus-mismatch-to-exit-3",
         "src/nearsym/cli.py",
-        "except ForeignTokenError as exc:",
-        'except sys.modules["nearsym.errors"].GenusMismatchError as exc:',
+        _ARGV_ERROR_CLAUSE,
+        _ARGV_ERROR_CLAUSE.replace("ForeignTokenError)", 'sys.modules["nearsym.errors"].GenusMismatchError)'),
         ("tests/test_cli.py::test_a_library_fault_inside_a_command_raises_instead_of_exiting_3",),
     ),
     Mutant(
         "cycles-catches-every-value-error",
         "src/nearsym/cli.py",
-        "except CycleLengthError as exc:",
-        "except ValueError as exc:",
+        "CycleLengthError, ForeignTokenError) as exc:",
+        "ValueError, ForeignTokenError) as exc:",
         ("tests/test_cli.py::test_a_region_of_the_wrong_kind_in_cycles_raises_instead_of_exiting_2",),
     ),
     Mutant(
@@ -396,6 +406,41 @@ MUTANTS: tuple[Mutant, ...] = (
         '(0, 2, 5, 8): "4-27",\n    (0, 3, 6, 9): "4-28",',
         '(0, 2, 5, 8): "4-28",\n    (0, 3, 6, 9): "4-27",',
         ("tests/test_pcset.py::test_each_forte_label_names_the_class_with_its_published_vector",),
+    ),
+    Mutant(
+        "failed-write-keeps-the-devnull-descriptor",
+        "src/nearsym/cli.py",
+        "        os.close(devnull)\n",
+        "",
+        ("tests/test_cli.py::test_a_failed_write_leaves_no_descriptor_open",),
+    ),
+    Mutant(
+        "closed-stdout-run-binds-sys-stdout",
+        "src/nearsym/cli.py",
+        "as devnull, contextlib.redirect_stdout(devnull):",
+        "as sys.stdout:",
+        ("tests/test_cli.py::test_main_started_without_stdout_puts_none_back",),
+    ),
+    Mutant(
+        "argv-error-exit-codes-swapped",
+        "src/nearsym/cli.py",
+        "return EXIT_DOMAIN if isinstance(exc, ForeignTokenError) else EXIT_USAGE",
+        "return EXIT_USAGE if isinstance(exc, ForeignTokenError) else EXIT_DOMAIN",
+        ("tests/test_cli.py::test_each_error_an_argv_can_cause_exits_with_its_code_and_one_error_line",),
+    ),
+    Mutant(
+        "chord-error-quotes-the-note-part",
+        "src/nearsym/chord.py",
+        "_pitch_class(s[:-1], text)",
+        "_pitch_class(s[:-1], s[:-1])",
+        ("tests/test_cli.py::test_a_chord_text_error_quotes_the_whole_text",),
+    ),
+    Mutant(
+        "bridge-region-index-shifted",
+        "src/nearsym/region.py",
+        "return bridge_regions(c.genus)[c.root % (12 // c.genus.n)]",
+        "return bridge_regions(c.genus)[(c.root + 1) % (12 // c.genus.n)]",
+        ("tests/test_metamorphic.py::test_region_member_sets_map_onto_member_sets",),
     ),
 )
 

@@ -155,7 +155,14 @@ def test_parse_chord_agrees_with_parse_note_and_the_modality_rule(text, g):
     try:
         if len(s) < 2 or s[-1] not in ("+", "-"):
             raise ChordParseError(f"chord text must end in '+' or '-': {text!r}")
-        expected = Chord(g, parse_note(s[:-1]), Modality.MINUS if s[-1] == "-" else Modality.PLUS)
+        try:
+            root = parse_note(s[:-1])
+        except ChordParseError as error:
+            # the note's own error, with the whole text quoted in place of
+            # the note part at its end
+            head = str(error).rpartition(repr(s[:-1]))[0]
+            raise ChordParseError(head + repr(text)) from None
+        expected = Chord(g, root, Modality.MINUS if s[-1] == "-" else Modality.PLUS)
     except ChordParseError as error:
         for _ in range(2):
             with pytest.raises(ChordParseError) as raised:

@@ -145,6 +145,33 @@ def test_a_region_of_the_wrong_kind_in_cycles_raises_instead_of_exiting_2(monkey
         main(["cycles", "--genus", "3", "--containing", "C+"])
 
 
+@pytest.mark.parametrize(
+    ("argv", "code", "err"),
+    [
+        (["apply", "--genus", "3", "--chord", "X+", "--seq", "R"], 2, "unknown note name: 'X+'"),
+        (["apply", "--genus", "3", "--chord", "C+", "--seq", "Q"], 2, "unknown transformation token: 'Q'"),
+        (
+            ["cycles", "--genus", "3", "--containing", "C+", "--min-len", "3"], 2,
+            "cycle lengths must satisfy 4 <= min <= max <= 6",
+        ),
+        (
+            ["apply", "--genus", "3", "--chord", "C+", "--seq", "Z"], 3,
+            "transformation 'Z' belongs to the n=6 genus, not n=3",
+        ),
+    ],
+    ids=["chord-text", "token", "cycle-length", "foreign-token"],
+)
+def test_each_error_an_argv_can_cause_exits_with_its_code_and_one_error_line(capsys, argv, code, err):
+    assert run(capsys, *argv) == (code, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("text", ["C++", "C-+"])
+def test_a_chord_text_error_quotes_the_whole_text(capsys, text):
+    # the note part, C+ or C-, would name a valid chord, not what was typed
+    code, out, err = run(capsys, "region", "--genus", "3", "--kind", "bridge", "--containing", text)
+    assert (code, out, err) == (2, "", f"error: unknown accidental {text[1]!r} in {text!r}\n")
+
+
 def test_relate_examples(capsys):
     assert run(capsys, "relate", "--genus", "3", "C+", "A-")[:2] == (0, "P0,1 R\n")
     assert run(capsys, "relate", "--genus", "6", "C+", "D-")[:2] == (0, "disjoint Z\n")
@@ -510,6 +537,36 @@ def test_unwritable_stdout_exits_with_the_io_error_code(argv):
     assert proc.stderr.startswith("error: cannot write output: ")
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+def _next_descriptor() -> int:
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_leaves_no_descriptor_open():
+    # main runs in-process here, as a library caller would run it, so a
+    # descriptor left open by each failed write would pile up.  The lowest
+    # free number is read while /dev/full is open, so that the number it
+    # frees on closing cannot hide one left open.
+    for _ in range(3):
+        with open("/dev/full", "w") as full, contextlib.redirect_stdout(full):
+            before = _next_descriptor()
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(["cycles", "--genus", "3", "--containing", "C+"]) == EXIT_IO
+            assert _next_descriptor() == before
+        assert err.getvalue().startswith("error: cannot write output: ")
+
+
+def test_main_started_without_stdout_puts_none_back(monkeypatch):
+    # print() discards its output while sys.stdout is None; a closed file
+    # left in its place would make the next print() raise
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["partitions", "--n", "3"]) == 0
+    assert sys.stdout is None
+    print("discarded")
 
 
 # Writer oracle: `cycles` output against a reference built here from the
