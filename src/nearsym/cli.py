@@ -20,6 +20,8 @@ import os
 import sys
 from dataclasses import asdict
 from functools import cache
+from itertools import chain, cycle, groupby, islice
+from operator import add
 
 from .chord import GENERA, NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus, parse_chord
 from .errors import ChordParseError, CycleLengthError, ForeignTokenError, TokenParseError
@@ -45,6 +47,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 74
 EXIT_BROKEN_PIPE = 141
+
+# Whole cycles per write of `nearsym cycles`: bounds each write and the text
+# joined for it.
+CYCLES_PER_WRITE = 1024
 
 
 def _note_names(args) -> tuple[str, ...]:
@@ -164,6 +170,21 @@ def _json_cycle_tail(union, length: int) -> str:
     )
 
 
+def _write_cycles(cycles, size: int, words_of, lead: int = 0) -> None:
+    """Write cycles of ids below size, in (length, ids) order, one length k
+    at a time.  words_of(k) is that length's table: its entry i*size + id is
+    the whole text id prints at position i of a k-cycle.  A chunk of
+    CYCLES_PER_WRITE whole cycles is one join and one write, and the first
+    `lead` characters of the first chunk are dropped."""
+    write = sys.stdout.write
+    for k, group in groupby(cycles, len):
+        words = words_of(k).__getitem__
+        offsets = range(0, k * size, size)
+        while chunk := tuple(islice(group, CYCLES_PER_WRITE)):
+            write("".join(map(words, map(add, chain.from_iterable(chunk), cycle(offsets))))[lead:])
+            lead = 0
+
+
 def cmd_cycles(args) -> int:
     g = genus(args.genus)
     chord = parse_chord(args.containing, g)
@@ -171,30 +192,36 @@ def cmd_cycles(args) -> int:
     chords, cycles = smooth_cycle_ids(region, args.min_len, args.max_len)
     max_len = args.max_len if args.max_len is not None else len(chords)
     write = sys.stdout.write
-    # Streamed a cycle at a time.  Every smooth cycle covers its region's
-    # pitch union (verify's cycle-structure proves it for every cycle), so
-    # each cycle's tail is read from region.pitch_union: built once per call
-    # for text, once per length for JSON.  The JSON must stay byte-equal to
-    # json.dumps(payload, indent=2) + "\n" of the payload {kind, genus, id,
-    # min_len, max_len, cycles: [{chords, length, pitch_union, set_class}],
-    # count}.
+    # Rendered one length at a time, in chunks of whole cycles, from a table
+    # of words per length (see _write_cycles); each write stays bounded, so
+    # `| head` stops the writer early.  Every smooth cycle covers its
+    # region's pitch union (verify's cycle-structure proves it for every
+    # cycle), so each cycle's tail is read from region.pitch_union: built
+    # once per call for text, once per length for JSON.  The JSON must stay
+    # byte-equal to json.dumps(payload, indent=2) + "\n" of the payload
+    # {kind, genus, id, min_len, max_len, cycles: [{chords, length,
+    # pitch_union, set_class}], count}.
     if args.format == "json":
         write(
             f'{{\n  "kind": "bridge",\n  "genus": {g.n},\n  "id": "{region.id}",'
             f'\n  "min_len": {args.min_len},\n  "max_len": {max_len},\n  "cycles": ['
         )
         members = [f"        {json.dumps(c.name(args.flats))}" for c in chords]
-        tails = {k: _json_cycle_tail(region.pitch_union, k) for k in range(args.min_len, max_len + 1)}
-        head = '\n    {\n      "chords": [\n'
-        for cycle in cycles:
-            write(head + ",\n".join(map(members.__getitem__, cycle)) + tails[len(cycle)])
-            head = ',\n    {\n      "chords": [\n'
+        inner = [m + ",\n" for m in members]
+        first = [',\n    {\n      "chords": [\n' + m for m in inner]
+
+        def json_words(k):
+            tail = _json_cycle_tail(region.pitch_union, k)
+            return first + inner * (k - 2) + [m + tail for m in members]
+
+        # lead=1: the first cycle's head has no leading comma
+        _write_cycles(cycles, len(chords), json_words, lead=1)
         write(("\n  ]" if cycles else "]") + f',\n  "count": {len(cycles)}\n}}\n')
         return EXIT_OK
     tail = f" | union {_format_union(region.pitch_union, _note_names(args))}\n"
     names = [c.name(args.flats) for c in chords]
-    for cycle in cycles:
-        write(" ".join(map(names.__getitem__, cycle)) + tail)
+    spaced = [name + " " for name in names]
+    _write_cycles(cycles, len(chords), lambda k: spaced * (k - 1) + [name + tail for name in names])
     write(f"total: {len(cycles)}\n")
     return EXIT_OK
 

@@ -309,7 +309,7 @@ MUTANTS: tuple[Mutant, ...] = (
         'raise TokenParseError(\n                f"transformation {normalized!r}',
         (
             "tests/test_transform.py::test_token_errors",
-            "tests/test_cli.py::test_apply_wrong_genus_token_is_a_domain_error",
+            "tests/test_cli.py::test_each_error_an_argv_can_cause_exits_with_its_code_and_one_error_line[foreign-token]",
         ),
     ),
     Mutant(
@@ -441,6 +441,43 @@ MUTANTS: tuple[Mutant, ...] = (
         "return bridge_regions(c.genus)[c.root % (12 // c.genus.n)]",
         "return bridge_regions(c.genus)[(c.root + 1) % (12 // c.genus.n)]",
         ("tests/test_metamorphic.py::test_region_member_sets_map_onto_member_sets",),
+    ),
+    Mutant(
+        "cycles-tail-at-the-first-position",
+        "src/nearsym/cli.py",
+        "spaced * (k - 1) + [name + tail for name in names]",
+        "[name + tail for name in names] + spaced * (k - 1)",
+        ("tests/test_cli.py::test_cycles_writer_matches_the_reference_on_every_window",),
+    ),
+    Mutant(
+        "cycles-json-keeps-the-first-comma",
+        "src/nearsym/cli.py",
+        "json_words, lead=1)",
+        "json_words, lead=0)",
+        ("tests/test_cli.py::test_cycles_writer_matches_the_reference_on_every_window",),
+    ),
+    Mutant(
+        "cycles-json-drops-a-comma-per-chunk",
+        "src/nearsym/cli.py",
+        "[lead:])\n            lead = 0\n",
+        "[lead:])\n",
+        (
+            "tests/test_cli.py::test_cycles_writer_matches_the_reference_on_dodecatonic_windows",
+            "tests/test_cli.py::test_cycles_streams_in_writes_of_at_most_one_chunk_of_whole_cycles",
+        ),
+    ),
+    Mutant(
+        "cycles-chunk-splits-a-cycle",
+        "src/nearsym/cli.py",
+        "while chunk := tuple(islice(group, CYCLES_PER_WRITE)):\n"
+        "            write(\"\".join(map(words, map(add, chain.from_iterable(chunk), cycle(offsets))))",
+        "ids = chain.from_iterable(group)\n"
+        "        while chunk := tuple(islice(ids, CYCLES_PER_WRITE)):\n"
+        "            write(\"\".join(map(words, map(add, chunk, cycle(offsets))))",
+        (
+            "tests/test_cli.py::test_cycles_writer_matches_the_reference_on_dodecatonic_windows",
+            "tests/test_cli.py::test_cycles_streams_in_writes_of_at_most_one_chunk_of_whole_cycles",
+        ),
     ),
 )
 

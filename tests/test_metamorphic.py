@@ -8,10 +8,20 @@ here even where every fixed example passes.  A wrong catalog offset still
 commutes with both; ``verify``'s catalog checks own offsets.
 """
 
+import json
+
 import pytest
 
 from nearsym.chord import GENERA, Direction, all_chords, find_chord, parent_symmetric_cell
-from nearsym.region import RegionKind, polar, region_of
+from nearsym.region import (
+    RegionKind,
+    arthropod_regions,
+    bridge_regions,
+    export_graph,
+    polar,
+    region_of,
+    smooth_cycle_ids,
+)
 from nearsym.transform import apply, catalog, transformation_between
 from nearsym.voiceleading import vl_relation
 
@@ -83,3 +93,44 @@ def test_voice_leading_and_the_connecting_transformation_are_invariant(n, op):
         for b in chords:
             assert vl_relation(image[a], image[b]) == vl_relation(a, b), (a, b)
             assert transformation_between(image[a], image[b]) is transformation_between(a, b), (a, b)
+
+
+def _canonical(cycle):
+    """A cycle of ids in the walk's one reading: from its smallest id,
+    toward the smaller of that id's two neighbours."""
+    i = cycle.index(min(cycle))
+    c = cycle[i:] + cycle[:i]
+    return c if c[1] < c[-1] else c[:1] + c[:0:-1]
+
+
+@genera
+@operations
+def test_smooth_cycles_map_onto_the_image_regions_cycles(n, op):
+    # through a permutation of ids, so that no SmoothCycle is built
+    image = _on_chords(n, op)
+    for region in bridge_regions(GENERA[n]):
+        chords, cycles = smooth_cycle_ids(region)
+        image_chords, image_cycles = smooth_cycle_ids(region_of(image[chords[0]], RegionKind.BRIDGE))
+        to_image_id = [image_chords.index(image[c]) for c in chords]
+        mapped = {_canonical(tuple(to_image_id[i] for i in cycle)) for cycle in cycles}
+        assert len(mapped) == len(cycles) == len(image_cycles), region.id
+        assert mapped == set(image_cycles), region.id
+
+
+def _edges(region):
+    """Each exported edge as (its two chords, token, relation)."""
+    by_name = {c.name(): c for c in region.members}
+    return {
+        (frozenset({by_name[e["a"]], by_name[e["b"]]}), e["transform"], tuple(e["relation"]))
+        for e in json.loads(export_graph(region, "json"))["edges"]
+    }
+
+
+@genera
+@operations
+def test_exported_edges_map_with_their_tokens(n, op):
+    image = _on_chords(n, op)
+    g = GENERA[n]
+    for region in (*arthropod_regions(g), *bridge_regions(g)):
+        mapped = {(frozenset(image[c] for c in ends), *rest) for ends, *rest in _edges(region)}
+        assert mapped == _edges(region_of(image[region.members[0]], region.kind)), (region.kind, region.id)

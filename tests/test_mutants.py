@@ -25,4 +25,7 @@ def test_each_mutant_edits_its_file_once_and_names_tests_that_exist(mutant):
     assert mutant.tests
     for test in mutant.tests:
         file, _, name = test.partition("::")
-        assert name in _test_functions(ROOT / file), test
+        function, _, case = name.partition("[")
+        assert function in _test_functions(ROOT / file), test
+        # a parametrized case is named by an id that its file spells out
+        assert not case or f'"{case[:-1]}"' in (ROOT / file).read_text(encoding="utf-8"), test
