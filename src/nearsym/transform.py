@@ -28,6 +28,8 @@ modality whose root lies a fixed offset away, up from a (+) chord and down
 from a (-) chord.  The catalog is therefore stored as data, 26
 transposition-equivariant root offsets, and ``apply`` is arithmetic on
 the index of the chord table ``chord.all_chords``; it builds no chord.
+``transformation_between`` inverts ``apply`` by scanning the catalog once per
+chord pair and memoises the answer; an error is never memoised.
 ``verify`` re-derives every offset from the definitions above: the
 partition-and-shift search for slides, the whole-tone relation for
 relatives, and pitch-class disjointness for poles.
@@ -176,8 +178,13 @@ def apply(t: Transformation, c: Chord) -> Chord:
     return all_chords(c.genus)[2 * (root % 12) + plus]
 
 
+@cache
 def transformation_between(x: Chord, y: Chord) -> Transformation | None:
-    """The unique catalog transformation sending x to y, if any exists."""
+    """The unique catalog transformation sending x to y, if any exists.
+
+    Memoised per chord pair: a miss scans the catalog, one ``apply`` per
+    token, and a hit is one dict lookup.  An error is raised, not cached,
+    so it raises again on every call."""
     if x.genus is not y.genus:
         raise GenusMismatchError(f"cannot compare {x} (n={x.genus.n}) with {y} (n={y.genus.n})")
     hits = [t for t in catalog(x.genus) if apply(t, x) is y]  # one object per chord

@@ -479,6 +479,13 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_cli.py::test_cycles_streams_in_writes_of_at_most_one_chunk_of_whole_cycles",
         ),
     ),
+    Mutant(
+        "transformation-between-scans-every-call",
+        "src/nearsym/transform.py",
+        "@cache\ndef transformation_between(",
+        "def transformation_between(",
+        ("tests/test_transform.py::test_transformation_between_scans_the_catalog_once_per_pair",),
+    ),
 )
 
 

@@ -193,6 +193,48 @@ def test_transformation_between_inverts_apply_everywhere():
                 assert transformation_between(c, apply(t, c)) == t
 
 
+@pytest.mark.parametrize(
+    ("n", "source", "image", "token"),
+    [(3, "C+", "A-", "R"), (4, "C+", "E-", "R*"), (6, "C+", "D#-", "R**")],
+)
+def test_transformation_between_scans_the_catalog_once_per_pair(
+    fresh_caches, monkeypatch, n, source, image, token
+):
+    # a pair's first call applies each catalog token once; a repeat is a
+    # cache hit that applies none and returns the same object
+    g = genus(n)
+    applied = []
+    cached_apply = transform.apply
+
+    def counting_apply(t, c):
+        applied.append(t)
+        return cached_apply(t, c)
+
+    monkeypatch.setattr(transform, "apply", counting_apply)
+    x, y = parse_chord(source, g), parse_chord(image, g)
+    first = transformation_between(x, y)
+    assert first.token == token
+    assert len(applied) == len(catalog(g))
+    applied.clear()
+    assert transformation_between(x, y) is first
+    assert applied == []
+
+
+def test_transformation_between_raises_again_on_every_call(triad_offsets):
+    # S given N's offset: two tokens connect C+ to F-; neither that nor a
+    # genus mismatch is remembered
+    triad_offsets(S=5)
+    c, f = parse_chord("C+", G3), parse_chord("F-", G3)
+    culprits = re.escape("2 transformations connect C+ to F-: ['S', 'N']")
+    size = transformation_between.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(InvariantViolationError, match=f"^{culprits}$"):
+            transformation_between(c, f)
+        with pytest.raises(GenusMismatchError, match=re.escape("cannot compare C+ (n=3) with C+ (n=4)")):
+            transformation_between(c, parse_chord("C+", G4))
+    assert transformation_between.cache_info().currsize == size
+
+
 def test_apply_sequence():
     c = parse_chord("C+", G3)
     assert apply_sequence(c, []) == c
