@@ -6,9 +6,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 74 standard output cannot be written (a full disk, ``> /dev/full``; sysexits
 EX_IOERR), 141 standard output closed early by its reader
 (``nearsym cycles ... | head``; 128 + SIGPIPE, the status a shell gives a
-writer killed by a closed pipe).  ``_run`` is the one place that maps an
-error to its exit code and its ``error:`` line; any library error that no
-argv can cause raises out of ``main``.
+writer killed by a closed pipe).  ``--help`` is output like any other:
+its failed write exits 74 or 141 as well, and, started with stdout closed,
+it discards its text.  ``_run`` is the one place that maps an error to its
+exit code and its ``error:`` line; any library error that no argv can cause
+raises out of ``main``.
 """
 
 from __future__ import annotations
@@ -252,6 +254,19 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help is output like any command's: a failed
+    write raises (argparse's own writer drops it), and stdout is flushed
+    before ``--help`` exits, so ``_run`` maps a failure to its exit code."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()
+        super().exit(status, message)
+
+
 def _output_options(formats: list[str]) -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=formats, default=formats[0])
@@ -267,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     with_genus = argparse.ArgumentParser(add_help=False)
     with_genus.add_argument("--genus", type=int, choices=list(GENERA), required=True)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nearsym",
         description="Parsimonious voice-leading for nearly symmetric chords",
     )
@@ -311,12 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
-    """Run the command, and map each error an input can cause to its exit
-    code: a failed write to 74 or 141, and the four errors an argv can cause,
-    each raised before any output, to 2, or to 3 for a token of another
-    genus.  Any other error is a fault in the library, and raises."""
+def _run(argv: list[str] | None) -> int:
+    """Parse argv and run the command, and map each error an input can cause
+    to its exit code: a failed write, ``--help``'s too, to 74 or 141, and the
+    four errors an argv can cause, each raised before any output, to 2, or to
+    3 for a token of another genus.  A usage error or ``--help`` leaves as
+    argparse's ``SystemExit``.  Any other error is a fault in the library,
+    and raises."""
     try:
+        args = build_parser().parse_args(argv)
+        args.flats = args.accidentals == "flats"
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
@@ -337,13 +356,11 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    args.flats = args.accidentals == "flats"
     if sys.stdout is not None:
-        return _run(args)
+        return _run(argv)
     # Started with stdout closed: discard the output, as print() would.
     with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
-        return _run(args)
+        return _run(argv)
 
 
 if __name__ == "__main__":

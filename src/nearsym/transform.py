@@ -20,7 +20,10 @@ Slide parts are named by what is held and what moves: an interval class
 hexachords (whole-tone tetramirror [0,2,4,6], augmented seventh [0,2,4,8],
 French sixth [0,2,6,8]).  ``None`` marks the lone leftover note in triad
 slides.  The slide direction is never a parameter: exactly one of up or down
-produces a chord of the genus, which the catalog checks demand.
+produces a chord of the genus, which the catalog checks demand.  A slide whose
+moved part is forced, the one part that complements the held one, is named
+by its held part alone (``S6`` for ``S6(5)``).  ``transformation`` reads
+every spelling it accepts from the catalog rows, so it takes both.
 
 Each of these moves is defined relative to the symmetric partition, so it
 commutes with transposition: the image of a chord is the chord of opposite
@@ -82,17 +85,6 @@ class Transformation(metaclass=_Registered):
         return self.token
 
 
-# Abbreviated tokens whose moved part is forced (only one complementary
-# partition exists) keep the full spelling as an input alias.
-_FULL_FORM_ALIASES = {
-    "S6(5)": "S6",
-    "S2(3)": "S2",
-    "S4(3)": "S4",
-    "S5(6)": "S5",
-    "SF(5)": "SF",
-    "S1(W)": "S1",
-}
-
 # token, kind, held part, moved part, (+) root offset
 _ROWS: dict[int, tuple[tuple[str, Kind, SlidePart, SlidePart, int], ...]] = {
     3: (
@@ -137,34 +129,44 @@ def catalog(g: Genus) -> tuple[Transformation, ...]:
     return tuple(Transformation(g, *row) for row in _ROWS[g.n])
 
 
-def _normalize_token(text: str) -> str:
-    cleaned = text.strip().upper()
-    # the superscript spelling wraps all that follows the S: S^{3(4)}
-    if cleaned.startswith("S^{") and cleaned.endswith("}") and len(cleaned) > 4:
-        cleaned = "S" + cleaned[3:-1]
-    if any(ch in cleaned for ch in "^{}"):
-        raise TokenParseError(f"malformed superscript token: {text!r}")
-    return _FULL_FORM_ALIASES.get(cleaned, cleaned)
+@cache
+def _spellings() -> dict[str, tuple[int, int]]:
+    """Each accepted flat, upper-case token spelling: its genus n and row
+    index.  A slide named by its held part alone, ``S{held}``, moves the one
+    part that complements it, and is also spelled in full: ``S6(5)``."""
+    table = {}
+    for n, rows in _ROWS.items():
+        for index, (token, _, held, moved, _) in enumerate(rows):
+            full = f"{token}({moved})" if token == f"S{held}" else token
+            table[token] = table[full] = (n, index)
+    return table
 
 
 def transformation(token: str, g: Genus) -> Transformation:
     """Look up a catalog member by token.
 
-    Accepts the flat ASCII spelling (``S3(4)``), the superscript spelling
-    (``S^{3(4)}``), and fully spelled abbreviations (``S6(5)`` for ``S6``).
-    A ``^``, ``{`` or ``}`` anywhere else raises ``TokenParseError``, and a
-    token of another genus raises ``ForeignTokenError``.
+    The accepted spellings come from the catalog rows: the flat ASCII token
+    (``S3(4)``) in any case, the superscript spelling (``S^{3(4)}``), and the
+    full spelling of a slide whose moved part is forced (``S6(5)`` for
+    ``S6``).  A ``^``, ``{`` or ``}`` anywhere else raises
+    ``TokenParseError``, and a token of another genus raises
+    ``ForeignTokenError``.
     """
-    normalized = _normalize_token(token)
-    for t in catalog(g):
-        if t.token == normalized:
-            return t
-    for n, rows in _ROWS.items():
-        if n != g.n and any(row[0] == normalized for row in rows):
-            raise ForeignTokenError(
-                f"transformation {normalized!r} belongs to the n={n} genus, not n={g.n}"
-            )
-    raise TokenParseError(f"unknown transformation token: {token!r}")
+    cleaned = token.strip().upper()
+    # the superscript spelling wraps all that follows the S: S^{3(4)}
+    if cleaned.startswith("S^{") and cleaned.endswith("}") and len(cleaned) > 4:
+        cleaned = "S" + cleaned[3:-1]
+    if any(ch in cleaned for ch in "^{}"):
+        raise TokenParseError(f"malformed superscript token: {token!r}")
+    found = _spellings().get(cleaned)
+    if found is None:
+        raise TokenParseError(f"unknown transformation token: {token!r}")
+    n, index = found
+    if n != g.n:
+        raise ForeignTokenError(
+            f"transformation {_ROWS[n][index][0]!r} belongs to the n={n} genus, not n={g.n}"
+        )
+    return catalog(g)[index]
 
 
 @cache

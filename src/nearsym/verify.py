@@ -232,7 +232,7 @@ def _cycle_checks(r: Region, adj: dict[Chord, set[Chord]]) -> tuple[str, str]:
     chords, cycles = smooth_cycle_ids(r)
     found = dict(sorted(Counter(map(len, cycles)).items()))
     expected = EXPECTED_CYCLE_COUNTS[r.genus.n]
-    counts = "" if found == expected else f"{r.family} region {r.id}: found {found}, expected {expected}"
+    counts = "" if found == expected else f"{_name(r)}: found {found}, expected {expected}"
     return counts, _cycle_structure(r, adj, chords, cycles)
 
 
@@ -258,7 +258,7 @@ def _cycle_structure(
     the ids of a failing ring only, and names an outside id before any other
     rule; a pass over every id would cost a tenth of this check."""
     if len(chords) != len(r.members) or set(chords) != set(r.members):
-        return f"{r.family} region {r.id}: the cycle ids do not number its members"
+        return f"{_name(r)}: the cycle ids do not number its members"
     ids = {c: i for i, c in enumerate(chords)}
     across = [sum(1 << ids[o] for o in adj[c] if o.modality is not c.modality) for c in chords]
     plus = [c.modality is Modality.PLUS for c in chords]
@@ -298,7 +298,7 @@ def _cycle_structure(
         if covers[seen] != union:
             return _culprit(chords, ring, "it misses part of the region's pitch union")
         any_full = any_full or len(ring) == full
-    return "" if any_full else f"{r.family} region {r.id} has no cycle of length {full}"
+    return "" if any_full else f"{_name(r)} has no cycle of length {full}"
 
 
 def _culprit(chords: tuple[Chord, ...], ring: tuple[int, ...], rule: str) -> str:

@@ -305,8 +305,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "token-of-another-genus-is-a-parse-error",
         "src/nearsym/transform.py",
-        'raise ForeignTokenError(\n                f"transformation {normalized!r}',
-        'raise TokenParseError(\n                f"transformation {normalized!r}',
+        'raise ForeignTokenError(\n            f"transformation {_ROWS[n][index][0]!r}',
+        'raise TokenParseError(\n            f"transformation {_ROWS[n][index][0]!r}',
         (
             "tests/test_transform.py::test_token_errors",
             "tests/test_cli.py::test_each_error_an_argv_can_cause_exits_with_its_code_and_one_error_line[foreign-token]",
@@ -485,6 +485,30 @@ MUTANTS: tuple[Mutant, ...] = (
         "@cache\ndef transformation_between(",
         "def transformation_between(",
         ("tests/test_transform.py::test_transformation_between_scans_the_catalog_once_per_pair",),
+    ),
+    Mutant(
+        "full-spelling-keyed-by-the-moved-part",
+        "src/nearsym/transform.py",
+        'if token == f"S{held}" else token',
+        'if token == f"S{moved}" else token',
+        ("tests/test_transform.py::test_every_spelling_names_its_row_in_its_genus_only",),
+    ),
+    Mutant(
+        "help-exits-without-a-flush",
+        "src/nearsym/cli.py",
+        "sys.stdout.flush()\n        super().exit(status, message)",
+        "super().exit(status, message)",
+        (
+            "tests/test_cli.py::test_unwritable_stdout_exits_with_the_io_error_code[--help]",
+            "tests/test_cli.py::test_help_that_cannot_be_written_exits_with_the_write_error_code",
+        ),
+    ),
+    Mutant(
+        "help-write-error-swallowed",
+        "src/nearsym/cli.py",
+        "(file or sys.stdout).write(self.format_help())",
+        "super().print_help(file)",
+        ("tests/test_cli.py::test_help_that_cannot_be_written_exits_with_the_write_error_code",),
     ),
 )
 

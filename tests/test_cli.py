@@ -468,10 +468,11 @@ def test_cycles_run_prime_form_once_per_distinct_union(capsys, monkeypatch):
 
 
 def _env_with_src():
-    """The environment, with this checkout's package first on PYTHONPATH."""
-    src = str(Path(nearsym.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    """The caller's environment without its PYTHON* settings, such as an
+    unbuffered stdout that would hide a fault of the buffered one every user
+    gets, and with this checkout's package on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    return {**env, "PYTHONPATH": str(Path(nearsym.__file__).resolve().parents[1])}
 
 
 def test_stdout_closed_by_its_reader_exits_quietly_with_the_broken_pipe_code():
@@ -501,6 +502,7 @@ def test_stdout_closed_by_its_reader_exits_quietly_with_the_broken_pipe_code():
         ["partitions", "--n", "3"],
         ["cycles", "--genus", "3", "--containing", "C+"],
         ["export", "--genus", "3", "--kind", "bridge", "--containing", "C+"],
+        ["--help"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -515,8 +517,13 @@ def test_stdout_closed_from_the_start_exits_quietly(argv):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
-    [["cycles", "--genus", "3", "--containing", "C+"], ["verify", "--genus", "3"]],
-    ids=lambda argv: argv[0],
+    [
+        ["cycles", "--genus", "3", "--containing", "C+"],
+        ["verify", "--genus", "3"],
+        ["--help"],
+        ["cycles", "--help"],
+    ],
+    ids=["cycles", "verify", "--help", "cycles --help"],
 )
 def test_unwritable_stdout_exits_with_the_io_error_code(argv):
     with open("/dev/full", "w") as full:
@@ -525,9 +532,34 @@ def test_unwritable_stdout_exits_with_the_io_error_code(argv):
             stdout=full, stderr=subprocess.PIPE, text=True, env=_env_with_src(), timeout=60,
         )
     assert proc.returncode == EXIT_IO == 74
-    assert proc.stderr.startswith("error: cannot write output: ")
+    assert re.fullmatch(r"error: cannot write output: [^\n]+\n", proc.stderr), proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["cycles", "--help"]], ids=" ".join)
+def test_help_that_cannot_be_written_exits_with_the_write_error_code(argv, flags):
+    # help is output like any command's, whether stdout is buffered or not:
+    # to a full disk, then to a pipe whose reader is gone before it starts
+    def help_to(stdout):
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "nearsym", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=_env_with_src(), timeout=60,
+        )
+
+    with open("/dev/full", "w") as full:
+        proc = help_to(full)
+    assert proc.returncode == EXIT_IO
+    assert re.fullmatch(r"error: cannot write output: [^\n]+\n", proc.stderr), proc.stderr
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = help_to(write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, "")
 
 
 def _next_descriptor() -> int:

@@ -8,7 +8,7 @@ import pytest
 
 from nearsym import cli, region, transform
 from nearsym.chord import all_chords, genus, parent_symmetric_cell, parse_chord
-from nearsym.errors import GenusMismatchError, InvariantViolationError, TokenParseError
+from nearsym.errors import ForeignTokenError, GenusMismatchError, InvariantViolationError, TokenParseError
 from nearsym.region import arthropod_members, bridge_members
 from nearsym.transform import (
     Kind,
@@ -32,13 +32,17 @@ def tokens(g, kind=None):
     return [t.token for t in catalog(g) if kind is None or t.kind is kind]
 
 
+# Each genus's tokens in catalog order, as the paper names them.
+TOKENS = {
+    3: ["R", "S", "N", "P", "L", "H"],
+    4: ["R*", "S3(4)", "S3(2)", "S6", "S2", "S4", "S5", "O"],
+    6: ["R**", "SA(3)", "SA(5)", "SF", "SW(1)", "SW(3)", "S1", "S3(A)", "S3(W)", "S5(A)", "S5(F)", "Z"],
+}
+
+
 def test_catalog_contents():
-    assert tokens(G3) == ["R", "S", "N", "P", "L", "H"]
-    assert tokens(G4) == ["R*", "S3(4)", "S3(2)", "S6", "S2", "S4", "S5", "O"]
-    assert tokens(G6) == [
-        "R**", "SA(3)", "SA(5)", "SF", "SW(1)", "SW(3)",
-        "S1", "S3(A)", "S3(W)", "S5(A)", "S5(F)", "Z",
-    ]
+    for g in ALL_GENERA:
+        assert tokens(g) == TOKENS[g.n]
 
 
 def test_the_catalog_facts_the_hot_path_reads():
@@ -70,6 +74,43 @@ def test_token_parsing_accepts_superscript_and_full_spellings():
     assert transformation("S6(5)", G4).token == "S6"
     assert transformation("S1(W)", G6).token == "S1"
     assert transformation("r**", G6).token == "R**"
+
+
+# The six slides whose moved part is forced, spelled in full, and the token
+# each one names.
+FULL_FORMS = {"S6(5)": "S6", "S2(3)": "S2", "S4(3)": "S4", "S5(6)": "S5", "SF(5)": "SF", "S1(W)": "S1"}
+# A full spelling of no catalog slide names nothing.
+NOT_FULL_FORMS = ["S(5)", "N(3)", "SA(3)(3)", "S3(4)(3)", "S6(4)"]
+NAMES = {**{t: t for ts in TOKENS.values() for t in ts}, **FULL_FORMS}
+
+
+def _spellings(name):
+    """The name flat and lower-case, and an S token also as S^{...}."""
+    superscript = [f"S^{{{name[1:]}}}"] if name.startswith("S") and len(name) > 1 else []
+    return [name, name.lower(), *superscript]
+
+
+SPELLINGS = [(text, token) for name, token in NAMES.items() for text in _spellings(name)]
+SPELLINGS += [(text, None) for text in NOT_FULL_FORMS]
+
+
+@pytest.mark.parametrize(("text", "token"), SPELLINGS, ids=[text for text, _ in SPELLINGS])
+def test_every_spelling_names_its_row_in_its_genus_only(text, token):
+    # in its own genus a spelling gives the catalog row; in another genus it
+    # is foreign and the error names the token; a spelling of no row is
+    # unknown in every genus
+    home = next((n for n, ts in TOKENS.items() if token in ts), None)
+    for g in ALL_GENERA:
+        if g.n == home:
+            assert transformation(text, g) is catalog(g)[TOKENS[home].index(token)]
+            continue
+        if token is None:
+            error, message = TokenParseError, f"unknown transformation token: {text!r}"
+        else:
+            error = ForeignTokenError
+            message = f"transformation {token!r} belongs to the n={home} genus, not n={g.n}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            transformation(text, g)
 
 
 @pytest.mark.parametrize("text", ["}S{", "S^{", "S^{3(4)", "S^{}", "S^{3(4)}}", "S3(^4)"])
