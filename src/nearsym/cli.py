@@ -11,13 +11,17 @@ its failed write exits 74 or 141 as well, and, started with stdout closed,
 it discards its text.  ``_run`` is the one place that maps an error to its
 exit code and its ``error:`` line; any library error that no argv can cause
 raises out of ``main``.
+
+Each command imports only the modules it runs: ``region``, ``cycles`` and
+``export`` import ``nearsym.region``, ``verify`` imports ``nearsym.verify``
+(which reads regions too), and only JSON output imports ``json``, so a text
+``apply``, ``relate`` or ``partitions`` process loads none of the three.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -28,19 +32,9 @@ from operator import add
 from .chord import GENERA, NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus, parse_chord
 from .errors import ChordParseError, CycleLengthError, ForeignTokenError, TokenParseError
 from .pcset import set_class
-from .region import (
-    RegionKind,
-    arthropod_regions,
-    bridge_regions,
-    export_graph,
-    region_of,
-    region_to_dict,
-    smooth_cycle_ids,
-)
 from .symmetry import symmetric_partition
 from .transform import apply as apply_transformation
 from .transform import transformation, transformation_between
-from .verify import run_checks
 from .voiceleading import catalog_relation, vl_relation
 
 EXIT_OK = 0
@@ -60,6 +54,8 @@ def _note_names(args) -> tuple[str, ...]:
 
 
 def _emit_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -136,6 +132,8 @@ def cmd_relate(args) -> int:
 
 
 def _selected_regions(args, g):
+    from .region import RegionKind, arthropod_regions, bridge_regions, region_of
+
     kind = RegionKind(args.kind)
     if args.containing is not None:
         return [region_of(parse_chord(args.containing, g), kind)]
@@ -149,6 +147,8 @@ def _region_header(region, flats: bool) -> str:
 
 
 def cmd_region(args) -> int:
+    from .region import region_to_dict
+
     g = genus(args.genus)
     regions = _selected_regions(args, g)
     if args.format == "json":
@@ -164,6 +164,8 @@ def _format_union(union, names) -> str:
 
 
 def _json_cycle_tail(union, length: int) -> str:
+    import json
+
     pcs = ",\n".join(f"        {p}" for p in sorted(union))
     forte = json.dumps(set_class(union).forte_name)
     return (
@@ -188,6 +190,8 @@ def _write_cycles(cycles, size: int, words_of, lead: int = 0) -> None:
 
 
 def cmd_cycles(args) -> int:
+    from .region import RegionKind, region_of, smooth_cycle_ids
+
     g = genus(args.genus)
     chord = parse_chord(args.containing, g)
     region = region_of(chord, RegionKind.BRIDGE)
@@ -204,6 +208,8 @@ def cmd_cycles(args) -> int:
     # {kind, genus, id, min_len, max_len, cycles: [{chords, length,
     # pitch_union, set_class}], count}.
     if args.format == "json":
+        import json
+
         write(
             f'{{\n  "kind": "bridge",\n  "genus": {g.n},\n  "id": "{region.id}",'
             f'\n  "min_len": {args.min_len},\n  "max_len": {max_len},\n  "cycles": ['
@@ -229,6 +235,8 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .region import export_graph
+
     g = genus(args.genus)
     regions = _selected_regions(args, g)
     sys.stdout.write("".join(export_graph(r, args.format, args.flats) for r in regions))
@@ -236,6 +244,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks
+
     results = run_checks(args.genus)
     failures = [r for r in results if not r.passed]
     if args.format == "json":

@@ -41,7 +41,6 @@ different key, although it hashes like the original.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
@@ -373,6 +372,8 @@ def export_graph(region: Region, format: str = "dot", flats: bool = False) -> st
 @lru_cache(maxsize=72)
 def _export(region: Region, format: str, flats: bool) -> str:
     if format == "json":
+        import json
+
         return json.dumps(region_to_dict(region, flats), indent=2) + "\n"
     if format == "dot":
         lines = [f"graph {region.family}_{region.id} {{"]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import nearsym.cli
 import nearsym.pcset
+import nearsym.region
 from nearsym.chord import NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, TRIADS, genus, parse_chord
 from nearsym.cli import EXIT_BROKEN_PIPE, EXIT_IO, main
 from nearsym.errors import GenusMismatchError, NotAMemberError, UnsupportedCardinalityError
@@ -130,7 +131,7 @@ def test_a_library_fault_inside_a_command_raises_instead_of_exiting_3(
 def test_a_region_of_the_wrong_kind_in_cycles_raises_instead_of_exiting_2(monkeypatch, fresh_caches):
     # exit 2 is a length window out of range; a region_of that hands cycles
     # an arthropod region is a fault in the library
-    monkeypatch.setattr("nearsym.cli.region_of", lambda c, kind: arthropod_regions(c.genus)[0])
+    monkeypatch.setattr("nearsym.region.region_of", lambda c, kind: arthropod_regions(c.genus)[0])
     with pytest.raises(ValueError, match="defined only on bridge regions"):
         main(["cycles", "--genus", "3", "--containing", "C+"])
 
@@ -688,7 +689,7 @@ def test_cycles_writer_matches_the_reference_on_dodecatonic_windows(monkeypatch)
     chords = tuple(sorted(region.members, key=lambda c: c.sort_key))
     ids = [tuple(chords.index(c) for c in cyc.chords) for cyc, _ in sample]
     monkeypatch.setattr(
-        nearsym.cli, "smooth_cycle_ids",
+        nearsym.region, "smooth_cycle_ids",
         lambda r, lo, hi: (chords, tuple(c for c in ids if lo <= len(c) <= hi)),
     )
     for lo in range(4, 13):
