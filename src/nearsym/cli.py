@@ -26,8 +26,6 @@ import os
 import sys
 from dataclasses import asdict
 from functools import cache
-from itertools import chain, cycle, groupby, islice
-from operator import add
 
 from .chord import GENERA, NOTE_NAMES_FLAT, NOTE_NAMES_SHARP, genus, parse_chord
 from .errors import ChordParseError, CycleLengthError, ForeignTokenError, TokenParseError
@@ -174,39 +172,46 @@ def _json_cycle_tail(union, length: int) -> str:
     )
 
 
-def _write_cycles(cycles, size: int, words_of, lead: int = 0) -> None:
-    """Write cycles of ids below size, in (length, ids) order, one length k
-    at a time.  words_of(k) is that length's table: its entry i*size + id is
-    the whole text id prints at position i of a k-cycle.  A chunk of
-    CYCLES_PER_WRITE whole cycles is one join and one write, and the first
-    `lead` characters of the first chunk are dropped."""
+def _write_cycles(codes, words_of, lead: int = 0) -> None:
+    """Write coded cycles, given as (k, codes) pairs in the form of
+    ``region.smooth_cycle_codes``, one length k at a time.  words_of(k) is
+    that length's table: its entry for a code is the whole text the code's
+    chord prints at its position; a length without cycles builds none.  A
+    chunk of CYCLES_PER_WRITE whole cycles is one join and one write, and
+    the first `lead` characters of the first chunk are dropped."""
     write = sys.stdout.write
-    for k, group in groupby(cycles, len):
+    for k, codes_k in codes:
+        if not codes_k:
+            continue
         words = words_of(k).__getitem__
-        offsets = range(0, k * size, size)
-        while chunk := tuple(islice(group, CYCLES_PER_WRITE)):
-            write("".join(map(words, map(add, chain.from_iterable(chunk), cycle(offsets))))[lead:])
+        step = CYCLES_PER_WRITE * k
+        for at in range(0, len(codes_k), step):
+            write("".join(map(words, codes_k[at:at + step]))[lead:])
             lead = 0
 
 
 def cmd_cycles(args) -> int:
-    from .region import RegionKind, region_of, smooth_cycle_ids
+    from .region import RegionKind, region_of, smooth_cycle_codes
 
     g = genus(args.genus)
     chord = parse_chord(args.containing, g)
     region = region_of(chord, RegionKind.BRIDGE)
-    chords, cycles = smooth_cycle_ids(region, args.min_len, args.max_len)
+    chords, codes = smooth_cycle_codes(region, args.min_len, args.max_len)
     max_len = args.max_len if args.max_len is not None else len(chords)
+    count = sum(len(codes_k) // k for k, codes_k in codes)
     write = sys.stdout.write
-    # Rendered one length at a time, in chunks of whole cycles, from a table
-    # of words per length (see _write_cycles); each write stays bounded, so
-    # `| head` stops the writer early.  Every smooth cycle covers its
-    # region's pitch union (verify's cycle-structure proves it for every
-    # cycle), so each cycle's tail is read from region.pitch_union: built
-    # once per call for text, once per length for JSON.  The JSON must stay
-    # byte-equal to json.dumps(payload, indent=2) + "\n" of the payload
-    # {kind, genus, id, min_len, max_len, cycles: [{chords, length,
-    # pitch_union, set_class}], count}.
+    # Rendered one length at a time, in chunks of whole cycles, from the
+    # region's cached cycle codes: each byte names a chord and its position
+    # in the cycle, and indexes a table of 3 * size words, the whole text
+    # that chord prints there (see _write_cycles).  So a chunk is one join
+    # at C level and one write; each write stays bounded, so `| head` stops
+    # the writer early.  Every smooth cycle covers its region's pitch union
+    # (verify's cycle-structure proves it for every cycle), so each cycle's
+    # tail is read from region.pitch_union: built once per call for text,
+    # once per length for JSON.  The JSON must stay byte-equal to
+    # json.dumps(payload, indent=2) + "\n" of the payload {kind, genus, id,
+    # min_len, max_len, cycles: [{chords, length, pitch_union, set_class}],
+    # count}.
     if args.format == "json":
         import json
 
@@ -220,17 +225,18 @@ def cmd_cycles(args) -> int:
 
         def json_words(k):
             tail = _json_cycle_tail(region.pitch_union, k)
-            return first + inner * (k - 2) + [m + tail for m in members]
+            return first + inner + [m + tail for m in members]
 
         # lead=1: the first cycle's head has no leading comma
-        _write_cycles(cycles, len(chords), json_words, lead=1)
-        write(("\n  ]" if cycles else "]") + f',\n  "count": {len(cycles)}\n}}\n')
+        _write_cycles(codes, json_words, lead=1)
+        write(("\n  ]" if count else "]") + f',\n  "count": {count}\n}}\n')
         return EXIT_OK
     tail = f" | union {_format_union(region.pitch_union, _note_names(args))}\n"
     names = [c.name(args.flats) for c in chords]
     spaced = [name + " " for name in names]
-    _write_cycles(cycles, len(chords), lambda k: spaced * (k - 1) + [name + tail for name in names])
-    write(f"total: {len(cycles)}\n")
+    words = spaced + spaced + [name + tail for name in names]
+    _write_cycles(codes, lambda k: words)
+    write(f"total: {count}\n")
     return EXIT_OK
 
 

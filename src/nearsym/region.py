@@ -12,7 +12,11 @@ their chords numbered in sort_key order they have the same graph.  There is
 one cached full walk per graph, keyed by the neighbour masks, not by the
 region or the length window, and a window is a slice of it.  So the bridge
 regions of a genus share one walk and one tuple of cycles, and no window
-walks again once its graph is walked: 2.1 MB kept at n=6.
+walks again once its graph is walked: 2.1 MB kept at n=6.  Beside each
+walk is cached its coded form, which ``nearsym cycles`` renders: one bytes
+per length k, k bytes per cycle, each byte a chord id and its position in
+the cycle (first, inner or last).  That is 166,440 bytes at n=6, built on
+the first ``cycles`` call of a graph and never by ``verify``.
 
 The cycle walk runs over integer ids in sort_key order.  Each id has a
 neighbour bitmask, and a ``free`` mask holds the unvisited ids above the
@@ -240,15 +244,14 @@ def _extend(
         path.pop()
 
 
-def smooth_cycle_ids(
-    region: Region, min_len: int = 4, max_len: int | None = None
-) -> tuple[tuple[Chord, ...], tuple[tuple[int, ...], ...]]:
-    """The smooth cycles of a bridge region as integer ids: the region's
-    chords in sort_key order, and each cycle as a tuple of indices into them.
-    Same cycles, order and bounds as ``enumerate_smooth_cycles``, which
-    wraps this; ``nearsym cycles`` renders straight from the ids.  A window
-    outside 4 <= min_len <= max_len <= size raises ``CycleLengthError``, and
-    a region of another kind a plain ``ValueError``."""
+def _graph(
+    region: Region, min_len: int, max_len: int | None
+) -> tuple[tuple[Chord, ...], tuple[int, ...], int]:
+    """The region's chords in sort_key order, each one's neighbour mask over
+    their ids, and the window's max_len, once the region and the window are
+    checked: a window outside 4 <= min_len <= max_len <= size raises
+    ``CycleLengthError``, and a region of another kind a plain
+    ``ValueError``.  The one check of both for every cycle accessor."""
     if region.kind is not RegionKind.BRIDGE:
         raise ValueError("smooth cycles are defined only on bridge regions")
     size = len(region.members)
@@ -261,9 +264,33 @@ def smooth_cycle_ids(
     chords = tuple(sorted(region.members, key=lambda c: c.sort_key))
     ids = {c: i for i, c in enumerate(chords)}
     adj = adjacency(region)
-    nbm = tuple(sum(1 << ids[n] for n in adj[c]) for c in chords)
+    return chords, tuple(sum(1 << ids[n] for n in adj[c]) for c in chords), max_len
+
+
+def smooth_cycle_ids(
+    region: Region, min_len: int = 4, max_len: int | None = None
+) -> tuple[tuple[Chord, ...], tuple[tuple[int, ...], ...]]:
+    """The smooth cycles of a bridge region as integer ids: the region's
+    chords in sort_key order, and each cycle as a tuple of indices into them.
+    Same cycles, order, bounds and errors as ``enumerate_smooth_cycles``,
+    which wraps this; ``verify`` reads its cycles from here, and
+    ``nearsym cycles`` renders the same cycles from ``smooth_cycle_codes``."""
+    chords, nbm, max_len = _graph(region, min_len, max_len)
     cycles, starts = _walk(nbm)
     return chords, cycles[starts[min_len]:starts[max_len + 1]]
+
+
+def smooth_cycle_codes(
+    region: Region, min_len: int = 4, max_len: int | None = None
+) -> tuple[tuple[Chord, ...], tuple[tuple[int, bytes], ...]]:
+    """The cycles of ``smooth_cycle_ids``, coded for rendering: the region's
+    chords in sort_key order, and a (k, codes) pair for each length k of the
+    window, ascending.  codes holds that length's cycles in order, k bytes
+    each; the byte for chord id at position i of its cycle is
+    ``id + size * p``, where p is 0 at the first position, 2 at the last and
+    1 between, so ``byte % size`` is the id."""
+    chords, nbm, max_len = _graph(region, min_len, max_len)
+    return chords, _coded(nbm)[min_len - 4:max_len - 3]
 
 
 # One full walk per graph, keyed by its neighbour masks: the bridge regions
@@ -297,6 +324,29 @@ def _walk(nbm: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int,
     return tuple(chain.from_iterable(found)), tuple(accumulate(map(len, found), initial=0))
 
 
+# The coded form of a graph's full walk, cached beside it and keyed the same
+# way, so the bridge regions of a genus share it too.  Only `nearsym cycles`
+# asks for it, so `verify` never builds it.
+@cache
+def _coded(nbm: tuple[int, ...]) -> tuple[tuple[int, bytes], ...]:
+    """A (k, codes) pair for each length k from 4 to len(nbm), in the
+    ``smooth_cycle_codes`` form.  The ids of a length are packed into bytes,
+    then the ids at each inner position and at the last position are
+    recoded in one strided slice each; a byte holds any code, as
+    3 * size <= 36."""
+    size = len(nbm)
+    cycles, starts = _walk(nbm)
+    inner, last = (bytes(range(p * size, p * size + size)).ljust(256, b"\0") for p in (1, 2))
+    coded = []
+    for k in range(4, size + 1):
+        codes = bytearray(chain.from_iterable(cycles[starts[k]:starts[k + 1]]))
+        for i in range(1, k - 1):
+            codes[i::k] = codes[i::k].translate(inner)
+        codes[k - 1::k] = codes[k - 1::k].translate(last)
+        coded.append((k, bytes(codes)))
+    return tuple(coded)
+
+
 def enumerate_smooth_cycles(
     region: Region, min_len: int = 4, max_len: int | None = None
 ) -> tuple[SmoothCycle, ...]:
@@ -307,8 +357,8 @@ def enumerate_smooth_cycles(
 
     Defined for bridge regions only; the hexatonic graph has exactly one
     cycle, the hexagon itself.  ``smooth_cycle_ids`` gives the same cycles
-    as integer ids, without building a ``SmoothCycle`` per cycle; the
-    ``cycles`` command uses it.
+    as integer ids, without building a ``SmoothCycle`` per cycle; ``verify``
+    uses it.
     """
     chords, cycles = smooth_cycle_ids(region, min_len, max_len)
     return tuple(SmoothCycle(tuple(chords[i] for i in cycle)) for cycle in cycles)

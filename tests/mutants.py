@@ -445,8 +445,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "cycles-tail-at-the-first-position",
         "src/nearsym/cli.py",
-        "spaced * (k - 1) + [name + tail for name in names]",
-        "[name + tail for name in names] + spaced * (k - 1)",
+        "spaced + spaced + [name + tail for name in names]",
+        "[name + tail for name in names] + spaced + spaced",
         ("tests/test_cli.py::test_cycles_writer_matches_the_reference_on_every_window",),
     ),
     Mutant(
@@ -469,14 +469,31 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "cycles-chunk-splits-a-cycle",
         "src/nearsym/cli.py",
-        "while chunk := tuple(islice(group, CYCLES_PER_WRITE)):\n"
-        "            write(\"\".join(map(words, map(add, chain.from_iterable(chunk), cycle(offsets))))",
-        "ids = chain.from_iterable(group)\n"
-        "        while chunk := tuple(islice(ids, CYCLES_PER_WRITE)):\n"
-        "            write(\"\".join(map(words, map(add, chunk, cycle(offsets))))",
+        "step = CYCLES_PER_WRITE * k",
+        "step = CYCLES_PER_WRITE",
+        # a code carries its position, so a chunk of CYCLES_PER_WRITE codes
+        # still joins to the same text; only the writes show the split cycle
+        ("tests/test_cli.py::test_cycles_streams_in_writes_of_at_most_one_chunk_of_whole_cycles",),
+    ),
+    Mutant(
+        "cycle-codes-last-position-coded-as-inner",
+        "src/nearsym/region.py",
+        "codes[k - 1::k] = codes[k - 1::k].translate(last)",
+        "codes[k - 1::k] = codes[k - 1::k].translate(inner)",
         (
+            "tests/test_region.py::test_the_codes_decode_to_the_ids_on_every_window",
+            "tests/test_cli.py::test_cycles_writer_matches_the_reference_on_every_window",
+        ),
+    ),
+    Mutant(
+        "cycle-codes-window-drops-its-longest-length",
+        "src/nearsym/region.py",
+        "_coded(nbm)[min_len - 4:max_len - 3]",
+        "_coded(nbm)[min_len - 4:max_len - 4]",
+        (
+            "tests/test_region.py::test_the_codes_decode_to_the_ids_on_every_window",
+            "tests/test_cli.py::test_cycles_writer_matches_the_reference_on_every_window",
             "tests/test_cli.py::test_cycles_writer_matches_the_reference_on_dodecatonic_windows",
-            "tests/test_cli.py::test_cycles_streams_in_writes_of_at_most_one_chunk_of_whole_cycles",
         ),
     ),
     Mutant(

@@ -251,7 +251,8 @@ def test_cycles_json(capsys):
     ids=["min3", "min>max", "max2n+1", "min-1"],
 )
 def test_cycles_rejects_bad_bounds(capsys, window, n, fmt):
-    # the library's smooth_cycle_ids is the one place that checks the window
+    # the library's region._graph is the one place that checks the window,
+    # for smooth_cycle_codes as for smooth_cycle_ids
     code, out, err = run(
         capsys, "cycles", "--genus", str(n), "--containing", "C+", "--format", fmt, *window(n)
     )
@@ -680,18 +681,25 @@ def test_cycles_writer_matches_the_reference_on_dodecatonic_windows(monkeypatch)
     for lo, hi in [(4, 5), (6, 7), (4, 9), (12, 12)]:
         _assert_byte_equal(region, full, lo, hi, True)
     # All 45 windows in both spellings, on every 97th cycle (each length is
-    # represented) so that the test stays fast: the enumerator is replaced by
-    # that sample, filtered to the window, and the writer must render it.
+    # represented) so that the test stays fast: the graph's cached codes are
+    # replaced by that sample's, coded here (byte = id + 12 * position, the
+    # position 0 first, 2 last, 1 between), and the real window slice and
+    # writer must render it.  test_the_codes_decode_to_the_ids_on_every_window
+    # checks the codes of a window against its ids, and
     # test_length_window_filters_the_full_enumeration checks that a window
     # is the full enumeration filtered by length.
     sample = full[::97]
     assert {len(cyc) for cyc, _ in sample} == {4, 6, 8, 10, 12}
     chords = tuple(sorted(region.members, key=lambda c: c.sort_key))
-    ids = [tuple(chords.index(c) for c in cyc.chords) for cyc, _ in sample]
-    monkeypatch.setattr(
-        nearsym.region, "smooth_cycle_ids",
-        lambda r, lo, hi: (chords, tuple(c for c in ids if lo <= len(c) <= hi)),
+    codes = tuple(
+        (k, bytes(
+            chords.index(c) + 12 * (0 if i == 0 else 2 if i == k - 1 else 1)
+            for cyc, _ in sample if len(cyc) == k
+            for i, c in enumerate(cyc.chords)
+        ))
+        for k in range(4, 13)
     )
+    monkeypatch.setattr(nearsym.region, "_coded", lambda nbm: codes)
     for lo in range(4, 13):
         for hi in range(lo, 13):
             cycles = [(cyc, union) for cyc, union in sample if lo <= len(cyc) <= hi]

@@ -26,6 +26,7 @@ from nearsym.region import (
     polar,
     region_of,
     region_to_dict,
+    smooth_cycle_codes,
     smooth_cycle_ids,
 )
 from nearsym.transform import Kind, apply, catalog, transformation, transformation_between
@@ -213,6 +214,49 @@ def test_length_window_filters_the_full_enumeration(n):
     assert region_module._walk.cache_info().misses == misses
 
 
+def _decoded(chords, codes):
+    """The cycles that (k, codes) pairs code, as id tuples, once each byte's
+    position is checked: 0 at a cycle's first chord, 2 at its last, 1 between."""
+    size = len(chords)
+    cycles = []
+    for k, coded in codes:
+        assert len(coded) % k == 0, k
+        positions = bytes(b // size for b in coded)
+        assert positions == bytes([0] + [1] * (k - 2) + [2]) * (len(coded) // k), k
+        ids = bytes(b % size for b in coded)
+        cycles.extend(tuple(ids[at:at + k]) for at in range(0, len(ids), k))
+    return chords, tuple(cycles)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_the_codes_decode_to_the_ids_on_every_window(n):
+    # nearsym cycles renders the codes, verify checks the ids: on every
+    # window of every bridge region, both name the same cycles, with one
+    # (k, codes) pair per length of the window
+    for r in bridge_regions(genus(n)):
+        for lo in range(4, 2 * n + 1):
+            for hi in range(lo, 2 * n + 1):
+                chords, codes = smooth_cycle_codes(r, lo, hi)
+                assert [k for k, _ in codes] == list(range(lo, hi + 1)), (r, lo, hi)
+                assert _decoded(chords, codes) == smooth_cycle_ids(r, lo, hi), (r, lo, hi)
+
+
+def test_the_bridge_regions_of_a_genus_share_one_coded_walk():
+    # 16,676 cycles of 4 to 12 chords, one byte per chord, coded from one
+    # walk for both dodecatonic regions
+    region_module._walk.cache_clear()
+    region_module._coded.cache_clear()
+    first, second = bridge_regions(G6)
+    chords_0, codes_0 = smooth_cycle_codes(first)
+    chords_1, codes_1 = smooth_cycle_codes(second)
+    assert region_module._walk.cache_info().misses == 1
+    assert region_module._coded.cache_info().misses == 1
+    assert chords_0 != chords_1
+    assert codes_1 is codes_0
+    assert sum(len(coded) for _, coded in codes_0) == 166_440
+    assert sum(len(coded) // k for k, coded in codes_0) == 16_676
+
+
 def test_the_walk_lists_no_cycle_shorter_than_four():
     # Bridge graphs are bipartite, so only a graph with triangles shows the
     # walk's lower bound: K4 has four triangles and three 4-cycles.
@@ -281,8 +325,10 @@ def test_the_bridge_regions_of_a_genus_share_one_cycle_walk():
 
 def test_verify_walks_each_genus_once_and_shares_its_cycles(monkeypatch):
     # 9 bridge regions, 3 graphs: one walk per genus, and both dodecatonic
-    # regions get the one cached tuple of their graph's full walk.
+    # regions get the one cached tuple of their graph's full walk.  The
+    # codes serve nearsym cycles only, so verify builds none.
     region_module._walk.cache_clear()
+    region_module._coded.cache_clear()
     answers = {}
     real = verify_module.smooth_cycle_ids
 
@@ -293,14 +339,16 @@ def test_verify_walks_each_genus_once_and_shares_its_cycles(monkeypatch):
     monkeypatch.setattr(verify_module, "smooth_cycle_ids", recorded)
     assert [c.line() for c in run_checks() if not c.passed] == []
     assert region_module._walk.cache_info().misses == 3
+    assert region_module._coded.cache_info().misses == 0
     assert len(answers) == 9
     first, second = bridge_regions(G6)
     assert answers[second][1] is answers[first][1]
 
 
 def test_a_region_with_another_graph_gets_a_walk_of_its_own(monkeypatch):
-    # the walk is keyed by the neighbour masks, not by the genus: drop one
-    # edge of the second octatonic region and it loses the cycles through it
+    # the walk and its codes are keyed by the neighbour masks, not by the
+    # genus: drop one edge of the second octatonic region and it loses the
+    # cycles through it, from its ids and from its codes
     first, second = bridge_regions(G4)[:2]
     real = region_module.adjacency
 
@@ -318,6 +366,7 @@ def test_a_region_with_another_graph_gets_a_walk_of_its_own(monkeypatch):
     _, cycles_1 = smooth_cycle_ids(second)
     assert len(cycles_0) == sum(EXPECTED_CYCLE_COUNTS[4].values())
     assert 0 < len(cycles_1) < len(cycles_0)
+    assert _decoded(*smooth_cycle_codes(second)) == smooth_cycle_ids(second)
 
 
 def test_full_cycles_cover_the_region_union():
